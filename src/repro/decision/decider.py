@@ -16,7 +16,7 @@ candidate Id-oblivious deciders are not.
 The whole ``(instance × assignment)`` grid is submitted through one
 ``engine.run_many`` call per sweep, so whichever backend is selected sees
 the full batch at once — the default :class:`~repro.engine.direct.DirectEngine`
-then serves every assignment of a graph from one vectorised ball
+then serves every assignment of a graph from one interned ball
 collection (:mod:`repro.engine.interned`), and parallel/persistent
 backends shard or replay the same batch with identical verdicts.
 """

@@ -6,14 +6,14 @@
   the default backend and the paper's mathematical semantics;
 * :class:`~repro.engine.synchronous.SynchronousEngine` — views produced by
   the full-information message-passing protocol;
-* :class:`~repro.engine.cached.CachedEngine` — the fast path: batched BFS
-  ball extraction per graph, canonical-key interning, and memoised
+* :class:`~repro.engine.cached.CachedEngine` — the fast path: one shared
+  ball collection per graph, canonical-key interning, and memoised
   evaluation per ``(algorithm, view key)``;
-* :mod:`~repro.engine.interned` — the vectorised core under both of the
-  above: graphs interned into CSR integer arrays, ball extraction as
-  frontier expansion over boolean masks, canonical keys as bytes of
-  canonicalised array slices (with a dict-based fallback for graphs that
-  fail interning);
+* :mod:`~repro.engine.interned` — the one production path for views and
+  keys under both of the above: graphs interned into integer adjacency lists,
+  balls grown by one frontier BFS per centre, canonical keys as bytes of
+  canonicalised array slices.  The per-node dict path of
+  :mod:`repro.graphs.neighbourhood` is the test oracle;
 * :class:`~repro.engine.parallel.ParallelEngine` — sweep sharding across
   the persistent :class:`~repro.engine.pool.WorkerPool` of warm caching
   workers, with cost-model routing and deterministic work partitioning;
@@ -43,7 +43,6 @@ from .interned import (
     intern_graph,
     interned_id_free_views,
     interned_view_key,
-    interned_views_available,
 )
 from .parallel import ParallelEngine, partition_chunks
 from .persistent import (
@@ -88,7 +87,6 @@ __all__ = [
     "intern_graph",
     "interned_id_free_views",
     "interned_view_key",
-    "interned_views_available",
     "LRUStore",
     "CostModel",
     "WorkerPool",

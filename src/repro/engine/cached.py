@@ -1,20 +1,18 @@
-"""Caching backend: batched ball extraction + memoised evaluation.
+"""Caching backend: shared interned ball collections + memoised evaluation.
 
-This is the fast path the ROADMAP's batching/caching direction asks for.
 Three observations make it sound:
 
 * the balls of a graph do not depend on the identifier assignment, so one
-  batched BFS per ``(graph, radius)`` serves every assignment the verifier
-  sweeps over (``verify_decider`` alone re-extracts them per assignment in
-  the direct backend);
+  interned ball collection per ``(graph, radius)``
+  (:func:`~repro.engine.interned.interned_id_free_views`) serves every
+  assignment the verifier sweeps over;
 * a local algorithm is, by definition, a function of the isomorphism type
-  of its view — :meth:`~repro.graphs.neighbourhood.Neighbourhood.structure_key`
-  for the full LOCAL model, :meth:`~repro.graphs.neighbourhood.Neighbourhood.oblivious_key`
-  for Id-oblivious algorithms — so its output can be memoised per
-  ``(algorithm, view key)``: isomorphic balls (every node of a cycle, every
-  interior node of a long path) are evaluated exactly once;
-* canonical view keys recur massively across a verification sweep, so they
-  are interned in a bounded LRU store and shared;
+  of its view, so its output can be memoised per ``(algorithm, view key)``
+  where the key is the canonical bytes of
+  :func:`~repro.engine.interned.interned_view_key`: isomorphic balls (every
+  node of a cycle, every interior node of a long path) are evaluated
+  exactly once.  A view whose key search exceeds its budget is evaluated
+  without memoising;
 * a whole deterministic run is itself a pure function of
   ``(algorithm, graph, ids)`` — and of ``(algorithm, graph)`` alone for
   Id-oblivious algorithms — so complete output maps are memoised too.  This
@@ -22,9 +20,10 @@ Three observations make it sound:
   later identifier assignment of an oblivious decider on the same graph is
   answered with a single cache lookup.
 
-All four stores are bounded LRUs; memory stays flat over arbitrarily long
-sweeps.  Randomised algorithms get the batched extraction but are never
-memoised (their output is not a function of the view alone).
+All four stores are bounded LRUs (sizes are the module constants below);
+memory stays flat over arbitrarily long sweeps.  Randomised algorithms get
+the shared balls but are never memoised (their output is not a function of
+the view alone).
 
 The memoisation contract is exactly the model's definition of a local
 algorithm.  An object that violates the definition — e.g. one whose output
@@ -35,7 +34,7 @@ local algorithm in the paper's sense; run such code through the
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Optional, Tuple
 
 from ..errors import GraphError
 from ..graphs.identifiers import IdAssignment
@@ -51,65 +50,19 @@ if TYPE_CHECKING:  # type-only; keeps engine ↔ local_model import-cycle-free
 __all__ = ["CachedEngine"]
 
 
-def _batched_balls(graph: LabelledGraph, radius: int) -> Dict[Node, Neighbourhood]:
-    """Extract every radius-``radius`` ball of ``graph`` in one synchronised pass.
-
-    All BFS frontiers advance one hop per round together, and induced ball
-    subgraphs are shared between centres whose balls contain the same node
-    set (every node of a clique, or any graph once ``radius`` reaches the
-    diameter), so the subgraph construction cost is paid once per distinct
-    ball rather than once per node.
-    """
-    centers = list(graph.nodes())
-    dist: Dict[Node, Dict[Node, int]] = {c: {c: 0} for c in centers}
-    frontier: Dict[Node, List[Node]] = {c: [c] for c in centers}
-    for d in range(1, radius + 1):
-        for c in centers:
-            grown: List[Node] = []
-            seen = dist[c]
-            for u in frontier[c]:
-                for w in graph.neighbours(u):
-                    if w not in seen:
-                        seen[w] = d
-                        grown.append(w)
-            frontier[c] = grown
-    subgraphs: Dict[frozenset, LabelledGraph] = {}
-    views: Dict[Node, Neighbourhood] = {}
-    for c in centers:
-        members = dist[c]
-        member_key = frozenset(members)
-        ball = subgraphs.get(member_key)
-        if ball is None:
-            # Build the induced ball directly from the BFS membership map:
-            # the insertion-order index dedupes each edge without the
-            # per-edge repr comparisons of the generic induced_subgraph.
-            order = {v: i for i, v in enumerate(members)}
-            edges = [
-                (u, w)
-                for u in members
-                for w in graph.neighbours(u)
-                if w in order and order[u] < order[w]
-            ]
-            labels = {v: graph.label(v) for v in members}
-            ball = LabelledGraph(list(members), edges, labels)
-            subgraphs[member_key] = ball
-        views[c] = Neighbourhood(ball, c, radius, dist[c], ids=None)
-    return views
+#: Bounds of the four LRU stores: ``(graph, radius)`` ball collections,
+#: ``(algorithm, view key)`` outputs, interned canonical keys, whole runs.
+MAX_BALL_COLLECTIONS = 512
+MAX_MEMO_ENTRIES = 100_000
+MAX_INTERNED_KEYS = 100_000
+MAX_RUN_ENTRIES = 4096
 
 
 class CachedEngine(ExecutionEngine):
-    """Batched BFS ball extraction, canonical-key interning and memoised evaluation.
+    """Shared interned balls, canonical-key interning and memoised evaluation.
 
     Parameters
     ----------
-    max_ball_collections:
-        How many ``(graph, radius)`` ball collections to keep.
-    max_memo_entries:
-        How many ``(algorithm, view key)`` outputs to keep.
-    max_interned_keys:
-        How many canonical view keys to intern.
-    max_run_entries:
-        How many whole-run output maps to keep.
     content_keyed:
         Key the memo and run stores by the algorithm's *content
         fingerprint* instead of its identity.  Sweeps that rebuild
@@ -123,19 +76,12 @@ class CachedEngine(ExecutionEngine):
 
     name = "cached"
 
-    def __init__(
-        self,
-        max_ball_collections: int = 512,
-        max_memo_entries: int = 100_000,
-        max_interned_keys: int = 100_000,
-        max_run_entries: int = 4096,
-        content_keyed: bool = False,
-    ) -> None:
+    def __init__(self, content_keyed: bool = False) -> None:
         super().__init__()
-        self._balls = LRUStore(max_ball_collections)
-        self._memo = LRUStore(max_memo_entries)
-        self._keys = LRUStore(max_interned_keys)
-        self._runs = LRUStore(max_run_entries)
+        self._balls = LRUStore(MAX_BALL_COLLECTIONS)
+        self._memo = LRUStore(MAX_MEMO_ENTRIES)
+        self._keys = LRUStore(MAX_INTERNED_KEYS)
+        self._runs = LRUStore(MAX_RUN_ENTRIES)
         self.content_keyed = content_keyed
         # id(algorithm) -> (algorithm, key); the stored reference keeps the
         # object alive so a recycled id can never alias a dead algorithm.
@@ -188,13 +134,7 @@ class CachedEngine(ExecutionEngine):
         if cached is not None:
             self.stats.ball_hits += len(cached)
             return cached
-        # Vectorised fast path: graphs that intern get their whole ball
-        # collection from a few array ops per radius (and array-backed
-        # canonical keys downstream); anything else takes the dict-based
-        # batched BFS, with identical outputs.
         views = interned_id_free_views(graph, radius)
-        if views is None:
-            views = _batched_balls(graph, radius)
         self.stats.ball_extractions += len(views)
         self._balls.put(cache_key, views)
         return views
@@ -253,35 +193,15 @@ class CachedEngine(ExecutionEngine):
     # ------------------------------------------------------------------ #
 
     def _view_key(self, algorithm: "LocalAlgorithm", view: Neighbourhood) -> Optional[Tuple]:
-        if view.interned is not None:
-            # Array-backed canonical key: the lexicographically smallest
-            # ``tobytes()`` encoding of the canonicalised ball arrays.  The
-            # bytes partition views exactly like the tuple keys below (same
-            # colour invariants, same refinement and class-size budgets);
-            # ``None`` means the search budget was exceeded, in which case
-            # we fall through to the tuple path (whose own fallback refuses
-            # memoisation).  Bytes and tuples can never compare equal, so
-            # the two key families coexist soundly in one memo store.
-            if not algorithm.uses_identifiers:
-                kind = "oblivious"
-                key_bytes = interned_view_key(view, use_ids=False)
-            else:
-                kind = "id" if view.ids is not None else "bare"
-                key_bytes = interned_view_key(view, use_ids=view.ids is not None)
-            if key_bytes is not None:
-                return (kind, view.radius, self._keys.intern(key_bytes))
+        """The memo key of ``view``, or ``None`` when it has no exact canonical bytes key."""
         if not algorithm.uses_identifiers:
-            canonical = view.oblivious_key()
-            kind = "oblivious"
+            kind, use_ids = "oblivious", False
         else:
-            canonical = view.structure_key()
-            kind = "id" if view.ids is not None else "bare"
-        if canonical and canonical[0] == "wl-fallback":
-            # The fallback key (huge colour classes) is only a pre-filter:
-            # non-isomorphic views can share it, so it is NOT sound as a
-            # memoisation key.  Refuse to memoise such views.
+            kind, use_ids = ("id", True) if view.ids is not None else ("bare", False)
+        key_bytes = interned_view_key(view, use_ids=use_ids)
+        if key_bytes is None:
             return None
-        return (kind, view.radius, self._keys.intern(canonical))
+        return (kind, view.radius, self._keys.intern(key_bytes))
 
     def evaluate_view(self, algorithm: "LocalAlgorithm", view: Neighbourhood) -> Hashable:
         """Evaluate one view, memoised per ``(algorithm, canonical view key)``."""

@@ -8,13 +8,13 @@ evaluated — and is the process-wide default backend, preserving the
 semantics the rest of the package has always had.
 
 Batched jobs (:meth:`DirectEngine.run_many`, the seam ``verify_decider``
-and the campaign drivers submit through) take the vectorised fast path of
-:mod:`repro.engine.interned` by default: the graph is interned into CSR
-arrays once, every ball of every node comes out of a few array ops per
-radius, and identifier views reuse the shared ball topology across the
-whole assignment grid.  Graphs that fail interning — and engines built
-with ``interned=False`` — take the historical per-node BFS path; outputs
-are identical either way.
+and the campaign drivers submit through) take the interned path of
+:mod:`repro.engine.interned`: the graph is interned into integer arrays once,
+its ball table is grown once per radius, and identifier views reuse the
+shared ball topology across the whole assignment grid.  Single
+:meth:`~repro.engine.base.ExecutionEngine.run` and :meth:`DirectEngine.views`
+calls keep the per-node BFS of the definition; it is the oracle the
+interned path is tested against, with identical outputs.
 """
 
 from __future__ import annotations
@@ -31,23 +31,9 @@ __all__ = ["DirectEngine"]
 
 
 class DirectEngine(ExecutionEngine):
-    """Per-node ball evaluation with no output memoisation.
-
-    Parameters
-    ----------
-    interned:
-        When ``True`` (the default), :meth:`run_many` extracts balls
-        through the vectorised interned-graph core and shares the id-free
-        ball topology across the jobs of one call.  ``False`` forces the
-        historical per-node BFS for every job (useful for A/B timing and
-        as the reference in equivalence tests).
-    """
+    """Per-node ball evaluation with no output memoisation."""
 
     name = "direct"
-
-    def __init__(self, interned: bool = True) -> None:
-        super().__init__()
-        self.interned = interned
 
     def views(
         self,
@@ -65,7 +51,7 @@ class DirectEngine(ExecutionEngine):
         return out
 
     # ------------------------------------------------------------------ #
-    # Vectorised batched jobs
+    # Interned batched jobs
     # ------------------------------------------------------------------ #
 
     def _run_many_core(
@@ -75,37 +61,28 @@ class DirectEngine(ExecutionEngine):
     ) -> List[Dict[Node, Hashable]]:
         """Run a deterministic algorithm over many ``(graph, ids)`` jobs.
 
-        With ``interned`` enabled, each distinct graph in the job list is
-        interned once and its id-free ball collection is shared by every
-        assignment; per-job work shrinks to restricting identifiers and
-        evaluating the algorithm.  For an Id-oblivious algorithm the
-        outputs of two jobs on the same graph are *provably identical*
-        (they are a pure function of the id-free views), so they are
-        computed once per distinct graph and copied per job — batching
-        within this one call, never state carried across calls.  Jobs
-        whose graph cannot be interned run through :meth:`run` unchanged.
-        Outputs equal the dict-based path's exactly, in job order.
+        Each distinct graph in the job list is interned once and its id-free
+        ball collection is shared by every assignment; per-job work shrinks
+        to restricting identifiers and evaluating the algorithm.  For an
+        Id-oblivious algorithm the outputs of two jobs on the same graph are
+        *provably identical* (they are a pure function of the id-free
+        views), so they are computed once per distinct graph and copied per
+        job — batching within this one call, never state carried across
+        calls.  Outputs equal the per-node path's exactly, in job order.
         """
-        if not self.interned:
-            return super()._run_many_core(algorithm, jobs)
         results: List[Dict[Node, Hashable]] = []
         oblivious = not algorithm.uses_identifiers
-        table: Dict[int, Tuple[LabelledGraph, Optional[Dict[Node, Neighbourhood]]]] = {}
+        table: Dict[int, Tuple[LabelledGraph, Dict[Node, Neighbourhood]]] = {}
         shared: Dict[int, Dict[Node, Hashable]] = {}
         for graph, ids in jobs:
             entry = table.get(id(graph))
             if entry is None or entry[0] is not graph:
                 base = interned_id_free_views(graph, algorithm.radius)
-                if base is not None:
-                    self.stats.ball_extractions += len(base)
+                self.stats.ball_extractions += len(base)
                 table[id(graph)] = (graph, base)
             else:
                 base = entry[1]
-                if base is not None:
-                    self.stats.ball_hits += len(base)
-            if base is None:
-                results.append(self.run(algorithm, graph, ids))
-                continue
+                self.stats.ball_hits += len(base)
             if oblivious:
                 outputs = shared.get(id(graph))
                 if outputs is None:

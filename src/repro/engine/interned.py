@@ -1,40 +1,30 @@
-"""Vectorised interned-graph core: CSR adjacency + array-mask ball extraction.
+"""Interned-graph core: integer adjacency, frontier-BFS ball tables, bytes keys.
 
 Every hot path in the package — the ``verify_decider`` grid fan-out, the
 adversarial hunts, the workload-matrix sweeps — bottoms out in extracting
-radius-``t`` balls and (for the caching backend) canonicalising them.  The
-historical implementation walks Python dicts and sets per node per
-assignment; this module *interns* a :class:`~repro.graphs.labelled_graph.
-LabelledGraph` into compact integer arrays once and then serves every ball
-of every node of every assignment from a few numpy array operations per
-radius:
+radius-``t`` balls and (for the caching backend) canonicalising them.  This
+module *interns* a :class:`~repro.graphs.labelled_graph.LabelledGraph` into
+compact integer arrays once and then serves every ball of every node of
+every assignment from them:
 
 * **Interning** (:func:`intern_graph`): nodes become dense indices
-  ``0..n-1``, adjacency becomes a CSR pair (``indptr``/``indices``), labels
+  ``0..n-1``, adjacency becomes sorted neighbour-index lists, labels
   become codes from a process-wide label table (labels with equal ``repr``
   always map to equal codes, matching the dict-based canonical forms, so
   canonical keys stay comparable across graphs).
-* **Ball extraction** (:meth:`InternedGraph.ball_table`): one boolean
-  reachability matrix for *all* centres at once, grown one hop per round by
-  a masked matrix product — frontier expansion over numpy boolean masks
-  instead of ``n`` independent dict-based BFS walks.  Centres whose balls
-  contain the same node set share one induced subgraph, exactly like the
-  dict-based batcher they replace.
+* **Ball extraction** (:meth:`InternedGraph.ball_table`): one frontier BFS
+  per centre over the integer adjacency lists, cached per radius.  Centres
+  whose balls have the same members share one induced subgraph.
 * **Canonical keys** (:func:`interned_view_key`): the caching engine's
-  memoisation keys become the lexicographically smallest byte encoding of
-  the ball's canonicalised arrays (``ndarray.tobytes()``), interned behind
-  the existing LRU seam in :mod:`repro.engine.cached` — replacing the
-  nested-tuple/``repr`` canonical forms on the fast path.
+  memoisation keys are the lexicographically smallest byte encoding of the
+  ball's canonicalised arrays (``ndarray.tobytes()``).
 
-The dict-based path stays as the fallback: graphs that fail interning
-(empty graphs, graphs above :data:`MAX_INTERN_NODES`, exotic failures, or
-a missing numpy) take the historical code path and produce identical
-outputs, which the equivalence suite (``tests/test_interned_engine.py``)
-asserts across all 12 workload graph families and worker counts 1/2/4.
-
-numpy is an optional accelerator dependency: when it cannot be imported
-every entry point degrades to the fallback (:func:`intern_graph` returns
-``None``) and the package behaves exactly as before.
+This is the only production path for views and keys.  The per-node dict
+path (:func:`~repro.graphs.neighbourhood.extract_neighbourhood`,
+:meth:`~repro.graphs.neighbourhood.Neighbourhood.oblivious_key`) is the
+paper-literal oracle: ``tests/test_interned_engine.py`` asserts that both
+give identical views, key partitions, verdicts and store digests across
+all 12 workload graph families and worker counts 1/2/4.
 """
 
 from __future__ import annotations
@@ -43,10 +33,7 @@ import struct
 from itertools import permutations, product
 from typing import Dict, List, Optional, Tuple
 
-try:  # numpy is an optional accelerator; everything degrades without it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-free installs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..errors import GraphError
 from ..graphs.labelled_graph import LabelledGraph, Node
@@ -61,26 +48,18 @@ from ..obs.metrics import (
 from .store import LRUStore
 
 __all__ = [
-    "MAX_INTERN_NODES",
     "InternedGraph",
     "InternedBall",
     "InternedView",
     "intern_graph",
     "interned_id_free_views",
-    "interned_views_available",
     "interned_view_key",
 ]
-
-#: Graphs larger than this fall back to the dict-based path: the dense
-#: reachability matrix costs O(n^2) memory and the frontier product O(n^3)
-#: per radius, both fine for the instance sizes verification sweeps use and
-#: increasingly not fine beyond a few thousand nodes.
-MAX_INTERN_NODES = 2048
 
 #: Budgets of the canonical-key search, mirroring the thresholds of the
 #: dict-based search in :mod:`repro.graphs.neighbourhood`: refine colours
 #: by 1-WL when the raw search exceeds ``_REFINEMENT_THRESHOLD`` orderings,
-#: and give up (return ``None``; the caller falls back to the dict path)
+#: and give up (return ``None``; the caller evaluates without memoising)
 #: when a colour class exceeds ``_MAX_CLASS`` nodes or the total search
 #: exceeds ``_MAX_SEARCH`` orderings.
 _REFINEMENT_THRESHOLD = 48
@@ -120,24 +99,20 @@ def _label_code(label: object) -> int:
 class InternedGraph:
     """A :class:`LabelledGraph` flattened into compact integer arrays.
 
-    ``nodes`` maps dense index → node name; ``indptr``/``indices`` are the
-    CSR adjacency (neighbour indices sorted ascending); ``label_codes``
-    holds one process-wide label code per node.  ``adj_lists`` and
-    ``labels_list`` are Python-native mirrors used on per-ball hot loops
-    where element-wise numpy access would dominate.  Ball tables are
-    computed lazily per radius and cached on the instance.
+    ``nodes`` maps dense index → node name; ``adj_lists`` holds each
+    node's neighbour indices sorted ascending; ``labels_list`` its label
+    and ``label_codes`` (an int64 array) its process-wide label code.
+    Ball tables are computed lazily per radius and cached on the
+    instance.
     """
 
     __slots__ = (
         "source",
         "nodes",
-        "indptr",
-        "indices",
         "label_codes",
         "adj_lists",
         "labels_list",
         "n",
-        "_adjacency",
         "_ball_tables",
     )
 
@@ -145,67 +120,58 @@ class InternedGraph:
         self,
         source: LabelledGraph,
         nodes: Tuple[Node, ...],
-        indptr: "np.ndarray",
-        indices: "np.ndarray",
-        label_codes: "np.ndarray",
+        label_codes: np.ndarray,
         adj_lists: List[List[int]],
         labels_list: List[object],
     ) -> None:
         self.source = source
         self.nodes = nodes
-        self.indptr = indptr
-        self.indices = indices
         self.label_codes = label_codes
         self.adj_lists = adj_lists
         self.labels_list = labels_list
         self.n = len(nodes)
-        self._adjacency: Optional["np.ndarray"] = None
-        self._ball_tables: Dict[int, Tuple["np.ndarray", "np.ndarray"]] = {}
+        self._ball_tables: Dict[int, List[Tuple[Tuple[int, ...], List[int]]]] = {}
 
-    def adjacency(self) -> "np.ndarray":
-        """Return the dense float32 adjacency matrix (built lazily, cached)."""
-        if self._adjacency is None:
-            a = np.zeros((self.n, self.n), dtype=np.float32)
-            row = np.repeat(np.arange(self.n), np.diff(self.indptr))
-            a[row, self.indices] = 1.0
-            self._adjacency = a
-        return self._adjacency
+    def ball_table(self, radius: int) -> List[Tuple[Tuple[int, ...], List[int]]]:
+        """Return ``(members, distances)`` for every centre, in index order.
 
-    def ball_table(self, radius: int) -> Tuple["np.ndarray", "np.ndarray"]:
-        """Return ``(reach, dist)`` for every centre at once.
-
-        ``reach[c, v]`` is ``True`` when ``v`` lies within ``radius`` hops
-        of ``c``; ``dist[c, v]`` is the hop distance (only meaningful where
-        ``reach``).  Each radius step is one masked matrix product: the
-        whole frontier of every centre advances together.
+        ``members`` are the ball's node indices in ascending order and
+        ``distances`` their hop distances from the centre, position by
+        position.  Each row is one frontier BFS over ``adj_lists``; rows
+        with equal members share one ``members`` tuple.
         """
         cached = self._ball_tables.get(radius)
         if cached is not None:
             return cached
-        n = self.n
-        with trace.span("interned.ball_table", nodes=n, radius=radius):
-            reach = np.eye(n, dtype=bool)
-            dist = np.zeros((n, n), dtype=np.int32)
-            frontier = reach.copy()
-            if radius > 0 and self.indices.size:
-                adjacency = self.adjacency()
+        adj_lists = self.adj_lists
+        shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        table: List[Tuple[Tuple[int, ...], List[int]]] = []
+        with trace.span("interned.ball_table", nodes=self.n, radius=radius):
+            for centre in range(self.n):
+                dist = {centre: 0}
+                frontier = [centre]
                 for d in range(1, radius + 1):
-                    grown = (frontier.astype(np.float32) @ adjacency) > 0.5
-                    grown &= ~reach
-                    if not grown.any():
+                    grown = []
+                    for u in frontier:
+                        for w in adj_lists[u]:
+                            if w not in dist:
+                                dist[w] = d
+                                grown.append(w)
+                    if not grown:
                         break
-                    dist[grown] = d
-                    reach |= grown
                     frontier = grown
+                members = tuple(sorted(dist))
+                members = shared.setdefault(members, members)
+                table.append((members, [dist[g] for g in members]))
         global_metrics().inc(BALL_TABLES_GROWN)
-        self._ball_tables[radius] = (reach, dist)
-        return reach, dist
+        self._ball_tables[radius] = table
+        return table
 
 
 class InternedBall:
     """One induced ball, shared by every centre with the same member set.
 
-    ``members`` are ascending global node indices (a Python list);
+    ``members`` are ascending global node indices (a tuple);
     ``local_of`` maps global index → member-local index; ``graph`` is the
     shared induced :class:`LabelledGraph` handed to algorithms;
     ``ball_nodes`` its nodes in member order.  The arrays the canonical-key
@@ -218,7 +184,7 @@ class InternedBall:
     def __init__(
         self,
         interned: InternedGraph,
-        members: List[int],
+        members: Tuple[int, ...],
         local_of: Dict[int, int],
         graph: LabelledGraph,
         ball_nodes: Tuple[Node, ...],
@@ -228,9 +194,9 @@ class InternedBall:
         self.local_of = local_of
         self.graph = graph
         self.ball_nodes = ball_nodes
-        self._arrays: Optional[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = None
+        self._arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
-    def arrays(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return ``(label_codes, degrees, local_edges)`` for the canonical-key search.
 
         ``label_codes`` and ``degrees`` are member-local int64 arrays;
@@ -246,7 +212,7 @@ class InternedBall:
                 kept = [local_of[h] for h in interned.adj_lists[g] if h in local_of]
                 degrees.append(len(kept))
                 edges.extend((l, lh) for lh in kept if l < lh)
-            label_codes = interned.label_codes[self.members]
+            label_codes = interned.label_codes[list(self.members)]
             degree_arr = np.asarray(degrees, dtype=np.int64)
             edge_arr = (
                 np.asarray(edges, dtype=np.int64) if edges else np.zeros((0, 2), dtype=np.int64)
@@ -279,26 +245,16 @@ class InternedView:
 
 #: Interned graphs are structural (topology + labels, no outputs), so one
 #: bounded process-wide table serves every engine; keyed by the graph
-#: object (LabelledGraph hashes by content and caches its hash), with
-#: failures negatively cached.
+#: object (LabelledGraph hashes by content and caches its hash).
 _INTERN_CACHE = LRUStore(maxsize=256)
-_FAILED = object()  # negative-cache marker: this graph does not intern
 
 
-def intern_graph(graph: LabelledGraph) -> Optional[InternedGraph]:
-    """Intern ``graph`` into arrays, or return ``None`` when it cannot be.
-
-    Fallback rules: interning requires numpy, a non-empty graph, and at
-    most :data:`MAX_INTERN_NODES` nodes; any unexpected failure (e.g. a
-    label whose ``repr`` raises) also falls back.  Results — including
-    failures — are cached in a bounded process-wide LRU keyed by the graph.
-    """
-    if np is None:
-        return None
-    cached = _INTERN_CACHE.get(graph, _FAILED)
-    if cached is not _FAILED:
+def intern_graph(graph: LabelledGraph) -> InternedGraph:
+    """Intern ``graph`` into arrays, cached in a bounded process-wide LRU keyed by the graph."""
+    interned = _INTERN_CACHE.get(graph)
+    if interned is not None:
         global_metrics().inc(INTERN_CACHE_HITS)
-        return cached
+        return interned
     global_metrics().inc(INTERN_CACHE_MISSES)
     with trace.span("interned.intern", nodes=graph.num_nodes()):
         interned = _build_interned(graph)
@@ -306,33 +262,14 @@ def intern_graph(graph: LabelledGraph) -> Optional[InternedGraph]:
     return interned
 
 
-def _build_interned(graph: LabelledGraph) -> Optional[InternedGraph]:
-    """Flatten one graph into CSR arrays; ``None`` when it falls outside the rules."""
-    n = graph.num_nodes()
-    if n == 0 or n > MAX_INTERN_NODES:
-        return None
-    try:
-        nodes = graph.nodes()
-        index = {v: i for i, v in enumerate(nodes)}
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        flat: List[int] = []
-        adj_lists: List[List[int]] = []
-        for i, v in enumerate(nodes):
-            nbrs = sorted(index[w] for w in graph.neighbours(v))
-            adj_lists.append(nbrs)
-            flat.extend(nbrs)
-            indptr[i + 1] = len(flat)
-        indices = np.asarray(flat, dtype=np.int64)
-        labels_list = [graph.label(v) for v in nodes]
-        label_codes = np.fromiter((_label_code(lab) for lab in labels_list), dtype=np.int64, count=n)
-    except Exception:  # fall back rather than fail the sweep
-        return None
-    return InternedGraph(graph, nodes, indptr, indices, label_codes, adj_lists, labels_list)
-
-
-def interned_views_available(graph: LabelledGraph) -> bool:
-    """Return ``True`` when ``graph`` takes the interned fast path."""
-    return intern_graph(graph) is not None
+def _build_interned(graph: LabelledGraph) -> InternedGraph:
+    """Flatten one graph into dense indices, sorted adjacency lists and label codes."""
+    nodes = graph.nodes()
+    index = {v: i for i, v in enumerate(nodes)}
+    adj_lists = [sorted(index[w] for w in graph.neighbours(v)) for v in nodes]
+    labels_list = [graph.label(v) for v in nodes]
+    label_codes = np.fromiter((_label_code(lab) for lab in labels_list), dtype=np.int64, count=len(nodes))
+    return InternedGraph(graph, nodes, label_codes, adj_lists, labels_list)
 
 
 # ---------------------------------------------------------------------- #
@@ -340,7 +277,7 @@ def interned_views_available(graph: LabelledGraph) -> bool:
 # ---------------------------------------------------------------------- #
 
 
-def _build_ball(interned: InternedGraph, members: List[int]) -> InternedBall:
+def _build_ball(interned: InternedGraph, members: Tuple[int, ...]) -> InternedBall:
     """Build the shared induced ball on ``members`` (ascending global indices)."""
     local_of = {g: l for l, g in enumerate(members)}
     nodes = interned.nodes
@@ -361,31 +298,23 @@ def _build_ball(interned: InternedGraph, members: List[int]) -> InternedBall:
     return InternedBall(interned, members, local_of, ball_graph, ball_nodes)
 
 
-def interned_id_free_views(graph: LabelledGraph, radius: int) -> Optional[Dict[Node, Neighbourhood]]:
+def interned_id_free_views(graph: LabelledGraph, radius: int) -> Dict[Node, Neighbourhood]:
     """Extract every node's id-free radius-``radius`` view through the interned core.
 
-    Returns ``None`` when the graph falls outside the interning rules (the
-    caller then takes the dict-based path).  Centres whose balls coincide
-    share one induced :class:`LabelledGraph`; every returned view carries
-    an :class:`InternedView` payload for array-based canonical keys.
+    Centres whose balls coincide share one induced :class:`LabelledGraph`;
+    every returned view carries an :class:`InternedView` payload for
+    array-based canonical keys.  An empty graph has no views.
     """
-    interned = intern_graph(graph)
-    if interned is None:
-        return None
     if radius < 0:
         raise GraphError(f"radius must be non-negative, got {radius}")
-    reach, dist = interned.ball_table(radius)
+    interned = intern_graph(graph)
     views: Dict[Node, Neighbourhood] = {}
-    balls: Dict[bytes, InternedBall] = {}
+    balls: Dict[Tuple[int, ...], InternedBall] = {}
     nodes = interned.nodes
-    for ci in range(interned.n):
-        row = reach[ci]
-        key = row.tobytes()
-        ball = balls.get(key)
+    for ci, (members, dist_local) in enumerate(interned.ball_table(radius)):
+        ball = balls.get(members)
         if ball is None:
-            ball = _build_ball(interned, np.flatnonzero(row).tolist())
-            balls[key] = ball
-        dist_local = dist[ci][ball.members].tolist()
+            ball = balls[members] = _build_ball(interned, members)
         distances = dict(zip(ball.ball_nodes, dist_local))
         payload = InternedView(ball, ball.local_of[ci], dist_local)
         views[nodes[ci]] = Neighbourhood._from_trusted(
@@ -408,11 +337,12 @@ def interned_view_key(view: Neighbourhood, use_ids: bool) -> Optional[bytes]:
     :meth:`Neighbourhood.oblivious_key` / :meth:`Neighbourhood.structure_key`.
     Equal keys hold exactly for centred-isomorphic views (labels, distances
     and — with ``use_ids`` — identifiers preserved).  ``None`` means the
-    canonical search would exceed its budget; callers fall back to the
-    dict-based canonical form.
+    view carries no interned payload, its identifiers do not fit int64, or
+    the canonical search would exceed its budget; callers then evaluate
+    without memoising.
     """
     payload: Optional[InternedView] = view.interned
-    if payload is None or np is None:
+    if payload is None:
         return None
     ball = payload.ball
     label_codes, degrees, edges = ball.arrays()
@@ -467,7 +397,7 @@ def interned_view_key(view: Neighbourhood, use_ids: bool) -> Optional[bytes]:
     return header + best
 
 
-def _search_size(class_ids: "np.ndarray") -> int:
+def _search_size(class_ids: np.ndarray) -> int:
     """Number of orderings the canonical search would enumerate (product of class factorials)."""
     total = 1
     _, counts = np.unique(class_ids, return_counts=True)
@@ -479,7 +409,7 @@ def _search_size(class_ids: "np.ndarray") -> int:
     return total
 
 
-def _refine(class_ids: "np.ndarray", edges: "np.ndarray", k: int) -> "np.ndarray":
+def _refine(class_ids: np.ndarray, edges: np.ndarray, k: int) -> np.ndarray:
     """1-WL refinement of colour classes by neighbour colour multisets (3 rounds)."""
     neighbours: List[List[int]] = [[] for _ in range(k)]
     for u, w in edges.tolist():

@@ -39,10 +39,9 @@ This module replaces that with the process-wide machinery the ROADMAP's
   every ``ParallelEngine``.  Because it is shared, ball collections and
   memoised verdicts survive across the per-scenario engines a campaign
   creates, which is where the measured quick-matrix speedup comes from.
-  Because workers run ``CachedEngine``s, they inherit the vectorised
-  interned-graph fast path (:mod:`repro.engine.interned`) automatically —
-  each worker interns a graph once and serves every sharded chunk of the
-  sweep from the same array-backed ball tables.
+  Because workers run ``CachedEngine``s, they use the interned-graph
+  path (:mod:`repro.engine.interned`) — each worker interns a graph once
+  and serves every sharded chunk of the sweep from the same ball tables.
 
 Lifecycle: the pool is created lazily on first use, shut down explicitly
 with :func:`shutdown_pool` (idempotent; also registered via ``atexit``)

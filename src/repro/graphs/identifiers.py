@@ -118,7 +118,7 @@ class IdAssignment(Mapping[Node, int]):
     def _restrict_trusted(self, nodes: Iterable[Node]) -> "IdAssignment":
         """Restrict to ``nodes`` without re-validating injectivity.
 
-        Internal fast path for the vectorised core: a sub-map of an
+        Internal fast path for the interned core: a sub-map of an
         injective map is injective, so only membership can fail (reported
         as :class:`IdentifierError`, matching :meth:`restrict`).
         """

@@ -104,7 +104,7 @@ class LabelledGraph:
     def _from_trusted(cls, adj: Dict[Node, FrozenSet[Node]], labels: Dict[Node, Label]) -> "LabelledGraph":
         """Build a graph from pre-validated internals, skipping all checks.
 
-        Internal fast path for the vectorised core (:mod:`repro.engine.
+        Internal fast path for the interned core (:mod:`repro.engine.
         interned`), which derives ``adj``/``labels`` from arrays that are
         correct by construction.  ``adj`` must be a symmetric simple
         adjacency of frozensets and ``labels`` must cover exactly its keys;

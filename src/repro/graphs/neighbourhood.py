@@ -58,11 +58,11 @@ class Neighbourhood:
 
     Notes
     -----
-    Views produced by the vectorised core (:mod:`repro.engine.interned`)
+    Views produced by the interned core (:mod:`repro.engine.interned`)
     additionally carry an ``interned`` payload — array-backed ball data the
-    caching engine uses to compute canonical keys without the tuple-based
-    search below.  Views built through the ordinary constructor have
-    ``interned = None`` and behave identically.
+    caching engine uses to compute canonical bytes keys.  Views built
+    through the ordinary constructor have ``interned = None``; they behave
+    identically, except that the caching engine does not memoise them.
     """
 
     __slots__ = ("graph", "center", "radius", "distances", "ids", "interned", "_struct_key", "_obliv_key")
@@ -105,7 +105,7 @@ class Neighbourhood:
     ) -> "Neighbourhood":
         """Build a view from pre-validated parts, skipping all checks.
 
-        Internal fast path for the vectorised core: ``distances`` must
+        Internal fast path for the interned core: ``distances`` must
         cover exactly the ball nodes and ``ids`` (when given) must already
         be restricted to them.  ``distances`` is adopted without copying;
         ``interned`` attaches the array payload used for canonical keys.

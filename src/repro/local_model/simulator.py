@@ -218,9 +218,10 @@ def simulate_algorithm(
     ``+1`` default covers the edge facts on the ball boundary, matching the
     paper's "t ± 1 rounds" equivalence), reconstructs each node's
     radius-``t`` view and applies the algorithm to it.  When an ``engine``
-    is given, per-view evaluation is delegated to it, so a
-    :class:`~repro.engine.cached.CachedEngine` memoises outputs across
-    isomorphic views even under this execution model.
+    is given, per-view evaluation is delegated to it; the reconstructed
+    views carry no interned payload, so a
+    :class:`~repro.engine.cached.CachedEngine` evaluates them without
+    memoising.
 
     Returns the per-node outputs and the communication statistics.
     """

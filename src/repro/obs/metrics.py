@@ -114,7 +114,7 @@ MESSAGES_SENT = Metric("messages_sent", COUNTER, "messages", "messages exchanged
 
 INTERN_CACHE_HITS = Metric("intern_cache_hits", COUNTER, "graphs", "intern_graph() calls served from the process cache")
 INTERN_CACHE_MISSES = Metric("intern_cache_misses", COUNTER, "graphs", "intern_graph() calls that built a new interned form")
-BALL_TABLES_GROWN = Metric("ball_tables_grown", COUNTER, "tables", "all-centres ball tables grown by a masked matrix product")
+BALL_TABLES_GROWN = Metric("ball_tables_grown", COUNTER, "tables", "all-centres ball tables grown by one frontier BFS per centre")
 
 
 class MetricsRegistry:

@@ -55,10 +55,10 @@ def separation_algorithm(
     ``t`` is the candidate's local horizon; ``r`` defaults to it.  The call
     always terminates, for halting and non-halting machines alike.
 
-    ``engine`` selects the backend for the candidate's evaluations; the
-    generated set ``B(N, t)`` is dominated by isomorphic fragment windows,
-    so a :class:`~repro.engine.cached.CachedEngine` evaluates each distinct
-    window type once instead of once per fragment.
+    ``engine`` selects the backend for the candidate's evaluations.  The
+    windows are per-node dict extractions with no interned payload, so a
+    :class:`~repro.engine.cached.CachedEngine` evaluates every one of them
+    without memoising.
     """
     evaluator = resolve_engine(engine)
     horizon = candidate.radius

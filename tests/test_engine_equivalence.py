@@ -257,9 +257,10 @@ def test_cached_engine_does_not_memoise_wl_fallback_keys():
     # Non-isomorphic stars-of-cycles: an apex over one 10-cycle versus an
     # apex over two 5-cycles.  Both apex balls have a >8-node colour class,
     # so their oblivious keys take the collision-prone "wl-fallback" form
-    # and may compare equal; the caching engine must not serve one view's
-    # output for the other.
-    def ring_view(parts):
+    # and may compare equal, and their interned bytes keys exceed the
+    # search budget; the caching engine must not serve one view's output
+    # for the other.
+    def ring_graph(parts):
         nodes = ["apex"]
         edges = []
         for tag, size in enumerate(parts):
@@ -267,14 +268,20 @@ def test_cached_engine_does_not_memoise_wl_fallback_keys():
             nodes.extend(ring)
             edges.extend((ring[i], ring[(i + 1) % size]) for i in range(size))
             edges.extend(("apex", r) for r in ring)
-        graph = LabelledGraph(nodes, edges, {v: "x" for v in nodes})
-        from repro.graphs import extract_neighbourhood
+        return LabelledGraph(nodes, edges, {v: "x" for v in nodes})
 
-        return extract_neighbourhood(graph, "apex", 1)
+    from repro.engine.interned import interned_view_key
+    from repro.graphs import extract_neighbourhood
 
-    one_ring = ring_view([10])
-    two_rings = ring_view([5, 5])
+    one_ring = extract_neighbourhood(ring_graph([10]), "apex", 1)
+    two_rings = extract_neighbourhood(ring_graph([5, 5]), "apex", 1)
     assert one_ring.oblivious_key()[0] == "wl-fallback"
+    # The same apex views as the caching engine itself produces them
+    # (interned payloads), whose bytes keys give up on the 10-node class.
+    interned_one = CachedEngine().views(ring_graph([10]), 1)["apex"]
+    interned_two = CachedEngine().views(ring_graph([5, 5]), 1)["apex"]
+    assert interned_view_key(interned_one, use_ids=False) is None
+    assert interned_view_key(interned_two, use_ids=False) is None
 
     def neighbours_form_one_ring(view):
         ring = [v for v in view.nodes() if v != view.center]
@@ -286,9 +293,11 @@ def test_cached_engine_does_not_memoise_wl_fallback_keys():
         return YES if comp_graph.is_connected() else NO
 
     alg = FunctionIdObliviousAlgorithm(neighbours_form_one_ring, radius=1, name="one-ring")
-    cached = CachedEngine()
-    assert cached.evaluate_view(alg, one_ring) == YES
-    assert cached.evaluate_view(alg, two_rings) == NO  # would be YES if memoised on the fallback key
+    for yes_view, no_view in ((one_ring, two_rings), (interned_one, interned_two)):
+        cached = CachedEngine()
+        assert cached.evaluate_view(alg, yes_view) == YES
+        assert cached.evaluate_view(alg, no_view) == NO  # would be YES if memoised on the fallback key
+        assert cached.stats.evaluation_hits == 0
 
 
 def test_cached_engine_raises_graph_error_for_unknown_node():

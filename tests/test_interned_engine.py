@@ -1,10 +1,11 @@
-"""Equivalence of the vectorised interned-graph core and the dict-based path.
+"""Equivalence of the interned-graph core and the per-node dict oracle.
 
-The interned core (:mod:`repro.engine.interned`) re-implements ball
-extraction and canonical view keys over numpy arrays; the dict-based code
-it accelerates stays in place as the fallback.  These tests pin the
-contract that makes that sound: **both paths are observably identical** —
-same views, same canonical-key partitions, same verdicts and
+The interned core (:mod:`repro.engine.interned`) is the only production
+path for ball extraction and canonical view keys; the per-node dict path
+(:func:`extract_neighbourhood`, :meth:`Neighbourhood.oblivious_key`,
+per-job :meth:`DirectEngine.run`) is the paper-literal oracle.  These
+tests pin the contract that makes that sound: **both paths are observably
+identical** — same views, same canonical-key partitions, same verdicts and
 counterexamples from ``verify_decider``, and byte-identical cross-run
 store digests — across random graphs (hypothesis), all 12 bundled
 workload graph families, and parallel worker counts 1/2/4.
@@ -17,12 +18,8 @@ import pytest
 
 from repro.decision import FunctionProperty, InstanceFamily, verify_decider
 from repro.engine import CachedEngine, DirectEngine, ParallelEngine
-from repro.engine.interned import (
-    intern_graph,
-    interned_id_free_views,
-    interned_view_key,
-    interned_views_available,
-)
+from repro.engine.interned import intern_graph, interned_id_free_views, interned_view_key
+from repro.errors import GraphError
 from repro.graphs import LabelledGraph, cycle_graph, random_graph, sequential_assignment
 from repro.graphs.neighbourhood import extract_neighbourhood
 from repro.local_model import NO, YES, FunctionAlgorithm, FunctionIdObliviousAlgorithm
@@ -32,6 +29,13 @@ from repro.workloads.families import bundled_families
 # the worker pool instead of the warm in-process engine (same idiom as
 # tests/test_parallel_engine.py).
 SHARD = dict(min_parallel_jobs=2, min_parallel_nodes=8, adaptive=False)
+
+
+class DictDirectEngine(DirectEngine):
+    """The per-job dict oracle: every job runs through per-node :meth:`DirectEngine.run`."""
+
+    def _run_many_core(self, algorithm, jobs):
+        return [DirectEngine.run(self, algorithm, graph, ids) for graph, ids in jobs]
 
 
 @st.composite
@@ -52,7 +56,6 @@ def small_graphs(draw):
 @settings(max_examples=40, deadline=None)
 def test_interned_views_match_dict_extraction(g, radius):
     views = interned_id_free_views(g, radius)
-    assert views is not None  # every hypothesis graph interns (small, non-empty)
     assert set(views) == set(g.nodes())
     for v in g.nodes():
         ref = extract_neighbourhood(g, v, radius)
@@ -139,7 +142,7 @@ def _report_fingerprint(report):
 
 
 def _engines():
-    yield "dict-direct", DirectEngine(interned=False)
+    yield "dict-direct", DictDirectEngine()
     yield "interned-direct", DirectEngine()
     yield "cached", CachedEngine()
     for workers in (1, 2, 4):
@@ -180,8 +183,8 @@ def test_store_digests_identical_across_paths(tmp_path):
     family = _instance_family(bundled_families()[0])
     paths = {"dict": tmp_path / "dict", "interned": tmp_path / "interned"}
     stores = {}
-    for name, interned in (("dict", False), ("interned", True)):
-        engine = DirectEngine(interned=interned).with_store(paths[name])
+    for name, engine_class in (("dict", DictDirectEngine), ("interned", DirectEngine)):
+        engine = engine_class().with_store(paths[name])
         for decider in (_degree_decider(), _id_parity_trap()):
             verify_decider(decider, _DEGREE_PROP, family=family, samples=2, seed=3, engine=engine)
         engine.shutdown()
@@ -191,43 +194,34 @@ def test_store_digests_identical_across_paths(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# Fallback rules
+# Edge cases: empty graphs, large graphs, negative radii
 # ---------------------------------------------------------------------- #
 
 
-def test_empty_graph_does_not_intern():
-    assert not interned_views_available(LabelledGraph([]))
-    assert interned_id_free_views(LabelledGraph([]), 1) is None
+def test_empty_graph_interns_to_no_views():
+    assert intern_graph(LabelledGraph([])).n == 0
+    assert interned_id_free_views(LabelledGraph([]), 1) == {}
+    with pytest.raises(GraphError):  # the radius is checked before interning
+        interned_id_free_views(LabelledGraph([]), -1)
 
 
-def test_oversized_graph_falls_back(monkeypatch):
-    monkeypatch.setattr("repro.engine.interned.MAX_INTERN_NODES", 4)
-    g = cycle_graph(6, label="z6")
-    assert intern_graph(g) is None
-    # run_many still answers through the per-job fallback, identically.
-    decider = _degree_decider()
-    engine = DirectEngine()
-    outputs = engine.run_many(decider, [(g, None), (g, None)])
-    reference = DirectEngine(interned=False).run_many(decider, [(g, None), (g, None)])
-    assert outputs == reference
+def test_large_cycle_interns_and_matches_dict_oracle():
+    # A large sparse graph: interning has no node cap.
+    g = cycle_graph(4096, label="big")
+    assert intern_graph(g).n == 4096
+    jobs = [(g, sequential_assignment(g))]
+    for decider in (_degree_decider(), _id_parity_trap()):
+        reference = DictDirectEngine().run_many(decider, jobs)
+        assert DirectEngine().run_many(decider, jobs) == reference
+        assert CachedEngine().run_many(decider, jobs) == reference
 
 
-def test_missing_numpy_falls_back(monkeypatch):
-    monkeypatch.setattr("repro.engine.interned.np", None)
-    g = cycle_graph(5, label="z5")
-    assert intern_graph(g) is None
-    view = extract_neighbourhood(g, 0, 1)
-    assert interned_view_key(view, use_ids=False) is None
-    engine = CachedEngine()
-    report = verify_decider(
-        _degree_decider(),
-        _DEGREE_PROP,
-        family=InstanceFamily(name="np-free", yes_instances=[g], no_instances=[]),
-        samples=1,
-        seed=0,
-        engine=engine,
-    )
-    assert report.correct
+@pytest.mark.parametrize("size", [5, 4096])
+def test_negative_radius_raises_on_every_engine(size):
+    g = cycle_graph(size, label=f"neg{size}")
+    for engine in (DirectEngine(), CachedEngine()):
+        with pytest.raises(GraphError):
+            engine.views(g, -1)
 
 
 def test_run_many_id_aware_matches_dict_path():
@@ -238,6 +232,4 @@ def test_run_many_id_aware_matches_dict_path():
         lambda view: YES if view.max_visible_identifier() % 3 == 0 else NO, radius=2, name="mod3"
     )
     jobs = [(g, ids_a), (g, ids_b)]
-    assert DirectEngine().run_many(algorithm, jobs) == DirectEngine(interned=False).run_many(
-        algorithm, jobs
-    )
+    assert DirectEngine().run_many(algorithm, jobs) == DictDirectEngine().run_many(algorithm, jobs)

@@ -373,7 +373,6 @@ def test_obs_cli_exit_codes_and_compare(tmp_path, capsys):
 
 
 def test_global_metrics_feed_intern_counters():
-    pytest.importorskip("numpy")
     metrics.reset_global_metrics()
     graph = cycle_graph(10, label="obs")
     from repro.engine.interned import intern_graph
