@@ -77,8 +77,8 @@ def test_bench_parallel_pool_mechanics():
     t_serial = time.perf_counter() - start
 
     # Forced-pool configuration: this record measures the pool itself, so
-    # the adaptive cost model must not route the sweep in-process.
-    engine = ParallelEngine(workers=2, min_parallel_jobs=2, min_parallel_nodes=8, adaptive=False)
+    # every batch goes to the pool whatever its size.
+    engine = ParallelEngine(workers=2, adaptive=False)
     pool = get_pool()
     try:
         start = time.perf_counter()

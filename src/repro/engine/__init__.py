@@ -16,7 +16,12 @@
   :mod:`repro.graphs.neighbourhood` is the test oracle;
 * :class:`~repro.engine.parallel.ParallelEngine` — sweep sharding across
   the persistent :class:`~repro.engine.pool.WorkerPool` of warm caching
-  workers, with cost-model routing and deterministic work partitioning;
+  workers.  One rule routes each batch: two or more jobs on a forking
+  multi-worker engine go to the pool, and an ``adaptive`` engine (the
+  default) additionally needs ``nodes x (radius + 1)`` summed over the
+  batch to reach :data:`~repro.engine.parallel.POOL_MIN_UNITS`.  Chunks
+  are contiguous, so verdicts match the serial backends for any worker
+  count;
 * :class:`~repro.engine.persistent.PersistentEngine` — cross-run
   persistence: wraps any backend (``engine.with_store(path)``) with an
   on-disk :class:`~repro.engine.persistent.VerdictStore` so settled jobs
@@ -44,7 +49,7 @@ from .interned import (
     interned_id_free_views,
     interned_view_key,
 )
-from .parallel import ParallelEngine, partition_chunks
+from .parallel import POOL_MIN_UNITS, ParallelEngine, partition_chunks
 from .persistent import (
     PersistentEngine,
     StoreCorruptionWarning,
@@ -54,11 +59,9 @@ from .persistent import (
     job_digest,
 )
 from .pool import (
-    CostModel,
     WorkerPool,
     get_pool,
     reset_shared_local_engine,
-    shared_cost_model,
     shared_local_engine,
     shutdown_pool,
 )
@@ -76,6 +79,7 @@ __all__ = [
     "SynchronousEngine",
     "CachedEngine",
     "ParallelEngine",
+    "POOL_MIN_UNITS",
     "PersistentEngine",
     "VerdictStore",
     "StoreCorruptionWarning",
@@ -88,11 +92,9 @@ __all__ = [
     "interned_id_free_views",
     "interned_view_key",
     "LRUStore",
-    "CostModel",
     "WorkerPool",
     "get_pool",
     "reset_shared_local_engine",
-    "shared_cost_model",
     "shared_local_engine",
     "shutdown_pool",
 ]

@@ -14,40 +14,33 @@ single-graph runs out over the process-wide persistent
   live across batches, sweeps, campaign scenarios and engine instances;
   each owns a fork-time copy of the shared warm
   :class:`~repro.engine.cached.CachedEngine`, so ball caches and verdict
-  memos survive where the old fork-per-batch design re-paid the fork tax
-  and started cold on every batch (the committed benchmark recorded that
-  design at 0.121x serial on the quick workload matrix);
+  memos survive from one batch to the next;
 * **generation-tagged payloads** — a batch's payload is pickled once and
   shipped to a worker only when the worker does not already hold it;
   repeated sweeps over the same job list ship nothing but chunk indices.
-  Unpicklable payloads (lambda-based algorithms) fall back to re-forking
-  with the payload inherited through copy-on-write memory, preserving the
-  old semantics at the old cost — visible in the ``parallel_forks``
-  counter;
-* **cost-model routing** — an EWMA :class:`~repro.engine.pool.CostModel`
-  estimates the in-process and pool cost of every batch from its work
-  units (``nodes x (radius + 1)``); batches whose modelled pool win does
-  not cover the modelled dispatch/fork overhead run on the in-process
-  shared engine instead, so tiny matrix cells never pay IPC tax while
-  big sweeps shard fully.  ``adaptive=False`` disables the model and
-  routes on the ``min_parallel_*`` floors alone (tests use this to force
-  the pool on small inputs);
-* **deterministic work partitioning** — jobs are split into chunks of
-  *global* indices, contiguous by default or striped
-  (``partition="striped"``) for heterogeneous job lists sorted big-first;
-  either way results are re-assembled in job order and randomised
-  per-node seeds derive from ``(run seed, global index)`` via
+  Unpicklable payloads (lambda-based algorithms) are inherited through
+  copy-on-write memory by re-forked workers instead, visible in the
+  ``parallel_forks`` counter;
+* **one routing rule** — a batch with fewer than two jobs (or nodes, for a
+  single-graph run), a one-worker engine, or a process that cannot fork
+  runs in-process.  Otherwise ``adaptive=False`` sends it to the pool, and
+  ``adaptive=True`` (the default) sends it there only when its work units,
+  ``nodes x (radius + 1)`` summed over the batch, reach
+  :data:`POOL_MIN_UNITS`.  The rule reads nothing but the batch, so the
+  same batch routes the same way whatever ran before it;
+* **deterministic work partitioning** — jobs are split into contiguous
+  chunks of *global* indices, results are re-assembled in job order and
+  randomised per-node seeds derive from ``(run seed, global index)`` via
   :func:`~repro.engine.base.derive_node_seed`, so verdicts are identical
-  to the serial backends for any worker count and either partitioning —
-  the equivalence suite asserts this;
+  to the serial backends for any worker count — the equivalence suite
+  asserts this;
 * **worker-side store replay** — when a
   :class:`~repro.engine.persistent.PersistentEngine` wraps this engine it
   calls :meth:`attach_store`, and workers mount that store read-only so
   settled jobs replay from disk inside the pool too;
-* **graceful serial fallback** — with ``workers=1``, on platforms without
-  ``fork``, inside an existing pool worker, or when the pool cannot be
-  (re)built, execution falls back to the in-process shared engine with
-  identical semantics.
+* **graceful serial fallback** — in-process batches, and batches the pool
+  cannot run (a worker crashed twice, the pool could not be rebuilt), run
+  on the in-process shared engine with identical semantics.
 """
 
 from __future__ import annotations
@@ -55,69 +48,49 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
-import time
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..graphs.identifiers import IdAssignment
 from ..graphs.labelled_graph import LabelledGraph, Node
 from ..graphs.neighbourhood import Neighbourhood
 from ..obs import trace
-from ..obs.metrics import FORKS, diff_snapshots
+from ..obs.metrics import diff_snapshots
 from .base import ExecutionEngine
-from .pool import (
-    CostModel,
-    PoolPayload,
-    WorkerCrashError,
-    get_pool,
-    shared_cost_model,
-    shared_local_engine,
-    shutdown_pool,
-)
+from .pool import PoolPayload, WorkerCrashError, get_pool, shared_local_engine, shutdown_pool
 
 if TYPE_CHECKING:  # type-only; keeps engine ↔ local_model import-cycle-free
     from ..local_model.algorithm import LocalAlgorithm, RandomisedLocalAlgorithm
 
-__all__ = ["ParallelEngine", "partition_chunks"]
+__all__ = ["POOL_MIN_UNITS", "ParallelEngine", "partition_chunks"]
 
-#: Chunk type: contiguous chunks are ``(start, stop)`` tuples (the
-#: historical shape the partition tests pin down), striped chunks are
-#: ``range`` objects.  Both describe a set of global job indices.
-Chunk = Union[Tuple[int, int], range]
+#: Smallest batch, in work units (``nodes x (radius + 1)`` summed over the
+#: batch), that an adaptive engine sends to the pool.  Measured on a
+#: 2-vCPU Xeon with 2 workers and fresh radius-1 cycle sweeps: a cold fork
+#: of both workers costs about 10 ms, and 512 units is the smallest batch
+#: whose in-process-minus-pool saving repaid it in every run (the
+#: crossover table is in CHANGES.md).  Quick-matrix batches peak at 200
+#: units and stay in-process.
+POOL_MIN_UNITS = 512
 
 
-def partition_chunks(count: int, shards: int, mode: str = "contiguous") -> List[Chunk]:
-    """Split ``range(count)`` into at most ``shards`` non-empty chunks.
+def partition_chunks(count: int, shards: int) -> List[range]:
+    """Split ``range(count)`` into at most ``shards`` contiguous chunks.
 
-    ``contiguous`` (the default) yields ``(start, stop)`` index windows
-    whose sizes differ by at most one — jobs touching the same graph stay
-    on the same worker (cache affinity).  ``striped`` yields
-    ``range(k, count, shards)`` interleavings — heterogeneous job lists
-    sorted big-first (campaign cells) spread their large jobs across all
-    workers instead of landing them on worker 0.  Either partition is a
-    pure function of ``(count, shards, mode)`` and covers every index
-    exactly once; which one is chosen can never change verdicts, only
-    load balance (the equivalence tests assert identity for both).
+    Chunk sizes differ by at most one, every index is covered exactly
+    once, and jobs touching the same graph stay on the same worker (cache
+    affinity).  The partition is a pure function of ``(count, shards)``.
     """
     shards = max(1, min(shards, count))
-    if mode == "striped":
-        return [range(k, count, shards) for k in range(shards) if k < count]
-    if mode != "contiguous":
-        raise ValueError(f"unknown partition mode {mode!r}; choose 'contiguous' or 'striped'")
     base, excess = divmod(count, shards)
-    chunks: List[Chunk] = []
+    chunks: List[range] = []
     start = 0
     for k in range(shards):
         stop = start + base + (1 if k < excess else 0)
         if stop > start:
-            chunks.append((start, stop))
+            chunks.append(range(start, stop))
         start = stop
     return chunks
-
-
-def _as_ranges(chunks: Sequence[Chunk]) -> List[range]:
-    """Normalise chunks to ``range`` objects (the pool's wire format)."""
-    return [chunk if isinstance(chunk, range) else range(chunk[0], chunk[1]) for chunk in chunks]
 
 
 # ---------------------------------------------------------------------- #
@@ -133,26 +106,12 @@ class ParallelEngine(ExecutionEngine):
     workers:
         Number of pool workers to shard over.  Defaults to the machine's
         CPU count (capped at 8).  ``workers=1`` never uses the pool.
-    min_parallel_jobs:
-        Smallest batch (jobs in ``run_many`` / ``run_randomised_many``)
-        eligible for the pool; smaller batches always run in-process.
-    min_parallel_nodes:
-        Smallest single-graph node count eligible for sharding ``run`` /
-        ``run_randomised``.
     adaptive:
-        Route batches through the :class:`~repro.engine.pool.CostModel`:
-        a batch above the floors still runs in-process when its modelled
-        pool time (dispatch overhead, fork cost if the pool is cold)
-        exceeds its modelled in-process time.  ``False`` forces the pool
-        for every batch above the floors (deterministic routing for
-        tests and measurements).
-    partition:
-        ``"contiguous"`` (default) or ``"striped"`` — see
-        :func:`partition_chunks`.  Verdicts are identical either way.
-    cost_model:
-        A private :class:`~repro.engine.pool.CostModel`; defaults to the
-        process-wide shared one, so short-lived per-scenario engines
-        inherit what earlier batches learned.
+        ``True`` (the default) sends a batch of two or more jobs (or
+        nodes) to the pool only when its work units reach
+        :data:`POOL_MIN_UNITS`; ``False`` sends every such batch to the
+        pool (tests and measurements use this to exercise the pool on
+        small inputs).
 
     The engine is a context manager: ``with ParallelEngine(4) as eng:``
     shuts the (process-wide) pool down on exit.  All in-process execution
@@ -162,27 +121,14 @@ class ParallelEngine(ExecutionEngine):
 
     name = "parallel"
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        min_parallel_jobs: int = 4,
-        min_parallel_nodes: int = 64,
-        adaptive: bool = True,
-        partition: str = "contiguous",
-        cost_model: Optional[CostModel] = None,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None, adaptive: bool = True) -> None:
         super().__init__()
         if workers is None:
             workers = max(1, min(os.cpu_count() or 1, 8))
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        partition_chunks(0, 1, partition)  # validate the mode eagerly
         self.workers = workers
-        self.min_parallel_jobs = min_parallel_jobs
-        self.min_parallel_nodes = min_parallel_nodes
         self.adaptive = adaptive
-        self.partition = partition
-        self.cost_model = cost_model if cost_model is not None else shared_cost_model()
         self._store_path: Optional[str] = None
 
     # -- lifecycle --------------------------------------------------------- #
@@ -226,20 +172,18 @@ class ParallelEngine(ExecutionEngine):
             return False
         return True
 
-    def _use_pool(self, count: int, floor: int, units: float) -> bool:
-        """Route one batch: persistent pool, or the in-process engine."""
-        if count == 0 or count < floor or not self._can_fork():
-            return False
-        if not self.adaptive:
-            return True
-        workers = min(self.workers, count)
-        warm = get_pool().is_warm(workers)
-        return self.cost_model.prefer_pool(units, workers, warm)
+    def _pool_shards(self, count: int, graph_nodes: int, **payload) -> Optional[List]:
+        """Route one batch of ``count`` jobs (or nodes) spanning ``graph_nodes`` nodes.
 
-    @staticmethod
-    def _units(node_count: int, radius: int) -> float:
-        """Cost units of one job: nodes x (radius + 1), a ball-work proxy."""
-        return float(node_count) * (radius + 1)
+        Returns the per-chunk outputs when the batch ran on the pool, or
+        ``None`` when it belongs in-process (or the pool could not run it).
+        ``payload`` holds the :class:`~repro.engine.pool.PoolPayload` fields.
+        """
+        if count < 2 or not self._can_fork():
+            return None
+        if self.adaptive and graph_nodes * (payload["algorithm"].radius + 1) < POOL_MIN_UNITS:
+            return None
+        return self._fan_out(PoolPayload(store_path=self._store_path, **payload), count)
 
     # -- pool plumbing ----------------------------------------------------- #
 
@@ -250,24 +194,18 @@ class ParallelEngine(ExecutionEngine):
         pool could not run the batch (callers fall back to in-process
         execution).  Algorithm errors raised inside workers propagate.
         """
-        chunks = _as_ranges(partition_chunks(count, self.workers, self.partition))
-        if not chunks:
-            return []
+        chunks = partition_chunks(count, self.workers)
+        workers = len(chunks)
         pool = get_pool()
         tracer = trace.active()
         before = pool.metrics.snapshot()
-        started = time.perf_counter()
-        with trace.span(
-            "pool.fan_out", chunks=len(chunks), workers=min(self.workers, len(chunks))
-        ) as sp:
+        with trace.span("pool.fan_out", chunks=len(chunks), workers=workers) as sp:
             # Workers trace into per-worker sidecar files parented under
             # this span; absorbing them (even on failure) keeps one sweep
             # one coherent tree in the parent's trace file.
             trace_ctx = (tracer.sidecar_dir(), sp.id) if tracer is not None else None
             try:
-                replies = pool.submit(
-                    payload, chunks, min(self.workers, len(chunks)), trace_ctx=trace_ctx
-                )
+                replies = pool.submit(payload, chunks, workers, trace_ctx=trace_ctx)
             except (WorkerCrashError, OSError):
                 sp.add(failed=True)
                 replies = None
@@ -276,18 +214,12 @@ class ParallelEngine(ExecutionEngine):
                     tracer.absorb_sidecar()
         if replies is None:
             return None
-        elapsed = time.perf_counter() - started
-        deltas = diff_snapshots(before, pool.metrics.snapshot())
-        for key, delta in deltas.items():
+        for key, delta in diff_snapshots(before, pool.metrics.snapshot()).items():
             self.stats.extra[key] = self.stats.extra.get(key, 0) + delta
         merged: List = []
         for outputs, worker_stats in replies:
             merged.append(outputs)
             self._absorb_stats(worker_stats)
-        if self.adaptive and not deltas.get(FORKS.name):
-            # Only warm dispatches teach the pool rate; cold ones are
-            # dominated by the one-off fork cost the model prices separately.
-            self.cost_model.observe_pool(self._last_units, elapsed, min(self.workers, len(chunks)))
         return merged
 
     def _absorb_stats(self, worker_stats: Dict[str, int]) -> None:
@@ -299,11 +231,18 @@ class ParallelEngine(ExecutionEngine):
             if isinstance(value, int):
                 self.stats.extra[key] = self.stats.extra.get(key, 0) + value
 
-    _last_units: float = 0.0
+    @staticmethod
+    def _by_node(chosen: List[Node], shards: List) -> Dict[Node, Hashable]:
+        """Merge per-chunk node->output maps back into ``chosen`` order."""
+        outputs: Dict[Node, Hashable] = {}
+        for shard in shards:
+            outputs.update(shard)
+        return {v: outputs[v] for v in chosen}
 
-    def _observe_serial(self, units: float, started: float) -> None:
-        if self.adaptive and units > 0:
-            self.cost_model.observe_serial(units, time.perf_counter() - started)
+    @staticmethod
+    def _in_job_order(shards: List) -> List:
+        """Concatenate per-chunk output lists (chunks are contiguous, in order)."""
+        return [out for outputs in shards for out in outputs]
 
     # -- sharded drivers (cores; the public drivers in the base class
     #    wrap each call in exactly one span) ------------------------------- #
@@ -315,34 +254,19 @@ class ParallelEngine(ExecutionEngine):
         ids: Optional[IdAssignment] = None,
         nodes: Optional[Iterable[Node]] = None,
     ) -> Dict[Node, Hashable]:
-        """Run one deterministic whole-graph job, sharding its nodes across workers when the cost model approves."""
+        """Run one deterministic whole-graph job, sharding its nodes across workers when the routing rule says so."""
         chosen = list(nodes) if nodes is not None else list(graph.nodes())
         if not chosen:
             return {}
         use_ids = self._ids_for(algorithm, ids)
-        units = self._units(len(chosen), algorithm.radius)
-        if self._use_pool(len(chosen), self.min_parallel_nodes, units):
-            self._last_units = units
-            payload = PoolPayload(
-                kind="run",
-                algorithm=algorithm,
-                graph=graph,
-                ids=use_ids,
-                nodes=chosen,
-                store_path=self._store_path,
-            )
-            shards = self._fan_out(payload, len(chosen))
-            if shards is not None:
-                outputs: Dict[Node, Hashable] = {}
-                for shard in shards:
-                    outputs.update(shard)
-                return {v: outputs[v] for v in chosen}
-        started = time.perf_counter()
+        shards = self._pool_shards(
+            len(chosen), len(chosen), kind="run", algorithm=algorithm, graph=graph, ids=use_ids, nodes=chosen
+        )
+        if shards is not None:
+            return self._by_node(chosen, shards)
         with self._borrow_inner() as inner:
             # Preserve nodes=None so the inner engine's whole-run memo applies.
-            result = inner.run(algorithm, graph, ids, nodes=None if nodes is None else chosen)
-        self._observe_serial(units, started)
-        return result
+            return inner.run(algorithm, graph, ids, nodes=None if nodes is None else chosen)
 
     def _run_randomised_core(
         self,
@@ -358,31 +282,22 @@ class ParallelEngine(ExecutionEngine):
             return {}
         use_ids = self._ids_for(algorithm, ids)
         base = seed if seed is not None else random.randrange(2**63)
-        units = self._units(len(chosen), algorithm.radius)
-        if self._use_pool(len(chosen), self.min_parallel_nodes, units):
-            self._last_units = units
-            payload = PoolPayload(
-                kind="run_randomised",
-                algorithm=algorithm,
-                graph=graph,
-                ids=use_ids,
-                nodes=chosen,
-                base_seed=base,
-                store_path=self._store_path,
-            )
-            shards = self._fan_out(payload, len(chosen))
-            if shards is not None:
-                outputs: Dict[Node, Hashable] = {}
-                for shard in shards:
-                    outputs.update(shard)
-                return {v: outputs[v] for v in chosen}
-        started = time.perf_counter()
+        shards = self._pool_shards(
+            len(chosen),
+            len(chosen),
+            kind="run_randomised",
+            algorithm=algorithm,
+            graph=graph,
+            ids=use_ids,
+            nodes=chosen,
+            base_seed=base,
+        )
+        if shards is not None:
+            return self._by_node(chosen, shards)
         with self._borrow_inner() as inner:
             # Preserve nodes=None so an explicit-seed whole run stays a
             # memoisable unit for wrapping stores (mirrors run()).
-            result = inner.run_randomised(algorithm, graph, use_ids, base, nodes=None if nodes is None else chosen)
-        self._observe_serial(units, started)
-        return result
+            return inner.run_randomised(algorithm, graph, use_ids, base, nodes=None if nodes is None else chosen)
 
     def _run_many_core(
         self,
@@ -393,23 +308,12 @@ class ParallelEngine(ExecutionEngine):
         jobs = list(jobs)
         if not jobs:
             return []
-        units = sum(self._units(graph.num_nodes(), algorithm.radius) for graph, _ in jobs)
-        if self._use_pool(len(jobs), self.min_parallel_jobs, units):
-            self._last_units = units
-            payload = PoolPayload(
-                kind="run_many",
-                algorithm=algorithm,
-                jobs=jobs,
-                store_path=self._store_path,
-            )
-            shards = self._fan_out(payload, len(jobs))
-            if shards is not None:
-                return self._reassemble(len(jobs), shards)
-        started = time.perf_counter()
+        nodes = sum(graph.num_nodes() for graph, _ in jobs)
+        shards = self._pool_shards(len(jobs), nodes, kind="run_many", algorithm=algorithm, jobs=jobs)
+        if shards is not None:
+            return self._in_job_order(shards)
         with self._borrow_inner() as inner:
-            result = [inner.run(algorithm, graph, ids) for graph, ids in jobs]
-        self._observe_serial(units, started)
-        return result
+            return [inner.run(algorithm, graph, ids) for graph, ids in jobs]
 
     def _run_randomised_many_core(
         self,
@@ -420,32 +324,12 @@ class ParallelEngine(ExecutionEngine):
         jobs = list(jobs)
         if not jobs:
             return []
-        units = sum(self._units(graph.num_nodes(), algorithm.radius) for graph, _, _ in jobs)
-        if self._use_pool(len(jobs), self.min_parallel_jobs, units):
-            self._last_units = units
-            payload = PoolPayload(
-                kind="run_randomised_many",
-                algorithm=algorithm,
-                jobs=jobs,
-                store_path=self._store_path,
-            )
-            shards = self._fan_out(payload, len(jobs))
-            if shards is not None:
-                return self._reassemble(len(jobs), shards)
-        started = time.perf_counter()
+        nodes = sum(graph.num_nodes() for graph, _, _ in jobs)
+        shards = self._pool_shards(len(jobs), nodes, kind="run_randomised_many", algorithm=algorithm, jobs=jobs)
+        if shards is not None:
+            return self._in_job_order(shards)
         with self._borrow_inner() as inner:
-            result = [inner.run_randomised(algorithm, graph, ids, seed) for graph, ids, seed in jobs]
-        self._observe_serial(units, started)
-        return result
-
-    def _reassemble(self, count: int, shards: List) -> List:
-        """Zip per-chunk output lists back into job order (any partition)."""
-        chunks = _as_ranges(partition_chunks(count, self.workers, self.partition))
-        results: List = [None] * count
-        for chunk, outputs in zip(chunks, shards):
-            for index, out in zip(chunk, outputs):
-                results[index] = out
-        return results
+            return [inner.run_randomised(algorithm, graph, ids, seed) for graph, ids, seed in jobs]
 
     # -- single-view primitives (always in-process) ------------------------- #
 
@@ -466,7 +350,4 @@ class ParallelEngine(ExecutionEngine):
             return inner.evaluate_view(algorithm, view)
 
     def __repr__(self) -> str:
-        return (
-            f"ParallelEngine(workers={self.workers}, adaptive={self.adaptive}, "
-            f"partition={self.partition!r})"
-        )
+        return f"ParallelEngine(workers={self.workers}, adaptive={self.adaptive})"

@@ -1,13 +1,5 @@
 """Persistent worker pool: long-lived fork workers with warm caches.
 
-The first ``ParallelEngine`` forked a fresh ``multiprocessing.Pool`` for
-*every* batch.  On the verification workloads — hundreds of tiny matrix
-cells, each a handful of jobs — the fork, payload publication and pool
-teardown dominated by an order of magnitude (the committed
-``BENCH_workloads.json`` recorded the 2-worker sweep at 0.121x serial).
-This module replaces that with the process-wide machinery the ROADMAP's
-"fix the parallel regression" item calls for:
-
 * :class:`WorkerPool` — a lazily created, process-wide pool of long-lived
   worker processes.  Each worker owns one duplex pipe and one warm
   execution engine (a fork-time copy of :func:`shared_local_engine`, so a
@@ -20,19 +12,14 @@ This module replaces that with the process-wide machinery the ROADMAP's
   not already hold the current generation; repeated sweeps over the same
   job list re-use the previous generation and ship nothing but chunk
   indices.  Payloads that cannot be pickled (lambda- and closure-based
-  algorithms) fall back to re-forking the needed workers with the payload
-  published in a module global first, so fork inheritance keeps them
-  working exactly as before — at the old per-batch fork cost, which the
-  ``parallel_forks`` counter makes visible.
+  algorithms) are shipped by re-forking the needed workers with the
+  payload published in a module global first, so fork inheritance hands
+  it over — at one fork per worker, which the ``parallel_forks`` counter
+  makes visible.
 * **Re-fork-on-death recovery** — a worker that dies mid-batch (killed,
   OOM, crashed) is detected through its broken pipe, replaced by a fresh
   fork, re-shipped the payload and re-sent its chunks; the batch completes
   without loss.
-* :class:`CostModel` — EWMA estimates of the in-process and pool cost per
-  work unit (``nodes x (radius + 1)``, a ball-size proxy), used by
-  :class:`~repro.engine.parallel.ParallelEngine` to route each batch to
-  whichever backend is modelled cheaper, so tiny batches never pay the
-  dispatch tax and large sweeps shard fully.
 * :func:`shared_local_engine` — the process-wide warm
   :class:`~repro.engine.cached.CachedEngine` (content-keyed, see
   ``CachedEngine(content_keyed=True)``) used for in-process execution by
@@ -43,12 +30,14 @@ This module replaces that with the process-wide machinery the ROADMAP's
   path (:mod:`repro.engine.interned`) — each worker interns a graph once
   and serves every sharded chunk of the sweep from the same ball tables.
 
+Which batches reach the pool is decided by
+:class:`~repro.engine.parallel.ParallelEngine`; this module only runs them.
+
 Lifecycle: the pool is created lazily on first use, shut down explicitly
 with :func:`shutdown_pool` (idempotent; also registered via ``atexit``)
 and re-created lazily afterwards.  Workers are daemonic, so a crashed
 parent never leaks processes.
 """
-
 from __future__ import annotations
 
 import atexit
@@ -73,7 +62,6 @@ from ..obs.metrics import (
 from .cached import CachedEngine
 
 __all__ = [
-    "CostModel",
     "PoolPayload",
     "WorkerPool",
     "WorkerCrashError",
@@ -124,8 +112,8 @@ class PoolPayload:
     ``kind`` selects the driver (``run`` / ``run_randomised`` over one
     graph's node list, ``run_many`` / ``run_randomised_many`` over a job
     list); chunks are ``range`` objects of *global* indices into
-    ``nodes`` / ``jobs``, so striped and contiguous partitions execute
-    identically (randomised per-node seeds derive from the global index).
+    ``nodes`` / ``jobs``, so any split into chunks executes identically
+    (randomised per-node seeds derive from the global index).
     ``store_path`` (when set) lets workers replay settled jobs from a
     read-only :class:`~repro.engine.persistent.VerdictStore` front.
     """
@@ -174,7 +162,7 @@ def _same_payload(a: PoolPayload, b: PoolPayload) -> bool:
 #
 # Set in the parent immediately before forking a worker whose payload
 # could not be pickled; the child adopts it into its payload cache through
-# copy-on-write memory, exactly like the old fork-per-batch design.
+# copy-on-write memory.
 
 _INHERITED: Optional[Tuple[int, PoolPayload]] = None
 
@@ -206,7 +194,7 @@ def _execute_chunk(engine, payload: PoolPayload, chunk: range):
     Mirrors the serial drivers exactly: deterministic runs evaluate the
     chunk's nodes/jobs through the (caching) engine, randomised runs seed
     node ``i`` of the *full* node list from ``(base_seed, i)`` no matter
-    which worker or partition mode evaluates it.
+    which worker or chunk evaluates it.
     """
     import random
 
@@ -270,11 +258,7 @@ def _worker_main(conn) -> None:
             continue
         if tag != "run":  # pragma: no cover - defensive
             continue
-        if len(message) == 4:
-            _, generation, chunks, trace_ctx = message
-        else:  # pragma: no cover - tolerate untagged run messages
-            _, generation, chunks = message
-            trace_ctx = None
+        _, generation, chunks, trace_ctx = message
         payload = payloads.get(generation)
         if payload is None:
             conn.send(("missing-payload", generation))
@@ -355,7 +339,7 @@ class WorkerPool:
     callers snapshot ``metrics`` and :func:`~repro.obs.metrics.diff_snapshots`
     two snapshots to attribute per-batch deltas to engine statistics
     (:meth:`~repro.engine.parallel.ParallelEngine._fan_out` does exactly
-    this; hand-subtracted string-keyed dicts are gone).
+    this).
     """
 
     def __init__(self) -> None:
@@ -408,10 +392,6 @@ class WorkerPool:
     def alive_workers(self) -> int:
         """How many workers are currently running."""
         return sum(1 for h in self._handles if h.process.is_alive())
-
-    def is_warm(self, workers: int) -> bool:
-        """Whether ``workers`` live workers already exist (no fork needed)."""
-        return self.alive_workers() >= workers
 
     def _spawn(self) -> _Handle:
         ctx = multiprocessing.get_context("fork")
@@ -693,87 +673,3 @@ def shutdown_pool() -> None:
     if _POOL is not None:
         _POOL.shutdown()
 
-
-# ---------------------------------------------------------------------- #
-# The cost model
-# ---------------------------------------------------------------------- #
-
-
-@dataclass
-class CostModel:
-    """EWMA cost model routing batches between in-process and pool execution.
-
-    Work is measured in *cost units* — ``nodes x (radius + 1)`` summed over
-    a batch's jobs, a proxy for the ball work a job needs.  Two rates are
-    learned from observed wall-times (exponentially weighted, ``alpha``):
-    ``serial_rate`` (seconds per unit in-process) and ``pool_rate``
-    (seconds per unit through a *warm* pool, IPC included).  A batch goes
-    to the pool when the modelled pool time — including the per-batch
-    dispatch overhead and, for a cold pool, the fork cost — undercuts the
-    modelled in-process time.  The priors deliberately overestimate the
-    pool so the first batches of a process run in-process (warming the
-    shared engine) until a genuinely large batch justifies forking.
-    """
-
-    alpha: float = 0.3
-    serial_rate: float = 3e-6
-    pool_rate: float = 3e-6
-    dispatch_overhead: float = 2e-3
-    fork_cost: float = 3e-2
-
-    def estimate_serial(self, units: float) -> float:
-        """Modelled in-process seconds for a batch of ``units``."""
-        return units * self.serial_rate
-
-    def estimate_pool(self, units: float, workers: int, warm: bool) -> float:
-        """Modelled pool seconds for ``units`` sharded over ``workers``."""
-        workers = max(1, workers)
-        seconds = units * self.pool_rate / workers + self.dispatch_overhead * workers
-        if not warm:
-            seconds += self.fork_cost * workers
-        return seconds
-
-    def prefer_pool(self, units: float, workers: int, warm: bool) -> bool:
-        """Whether the modelled pool win beats the modelled overhead."""
-        if workers <= 1:
-            return False
-        return self.estimate_pool(units, workers, warm) < self.estimate_serial(units)
-
-    def observe_serial(self, units: float, seconds: float) -> None:
-        """Fold one observed in-process batch into ``serial_rate``."""
-        if units <= 0:
-            return
-        self.serial_rate += self.alpha * (seconds / units - self.serial_rate)
-
-    def observe_pool(self, units: float, seconds: float, workers: int) -> None:
-        """Fold one observed (warm-dispatch) pool batch into ``pool_rate``."""
-        if units <= 0:
-            return
-        rate = max(seconds - self.dispatch_overhead * max(1, workers), 0.0) * max(1, workers) / units
-        self.pool_rate += self.alpha * (rate - self.pool_rate)
-
-
-_COST_MODEL: Optional[CostModel] = None
-
-
-def shared_cost_model() -> CostModel:
-    """The process-wide cost model (shared so per-scenario engines learn once)."""
-    global _COST_MODEL
-    if _COST_MODEL is None:
-        _COST_MODEL = CostModel()
-    return _COST_MODEL
-
-
-def _fork_available() -> bool:
-    """Whether this process may fork pool workers at all."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return False
-    # Pool workers are daemonic and may not fork pools of their own.
-    if multiprocessing.current_process().daemon:
-        return False
-    return True
-
-
-# Re-exported for ParallelEngine (kept here so the fork policy lives with
-# the pool it guards).
-fork_available = _fork_available

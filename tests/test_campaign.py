@@ -26,7 +26,7 @@ SMOKE = ["classic-cycles-vs-paths", "sec2-promise-cycles"]
 
 
 def _parallel():
-    return ParallelEngine(workers=2, min_parallel_jobs=2, min_parallel_nodes=8)
+    return ParallelEngine(workers=2, adaptive=False)
 
 
 # ---------------------------------------------------------------------- #
@@ -67,6 +67,7 @@ def test_smoke_campaign_parallel_matches_direct():
     direct = run_campaign(SMOKE, engine="direct", quick=True, name="smoke")
     parallel = run_campaign(SMOKE, engine=_parallel(), quick=True, name="smoke")
     assert direct.ok and parallel.ok
+    assert parallel.parallel_stats()["parallel_batches"] >= 1
     for d, p in zip(direct.results, parallel.results):
         assert d.name == p.name
         assert d.observed_correct == p.observed_correct
@@ -81,6 +82,7 @@ def test_estimate_scenario_statistics_backend_independent():
     direct = run_scenario("cor1-randomised", engine="direct", quick=True)
     parallel = run_scenario("cor1-randomised", engine=_parallel(), quick=True)
     assert direct.ok and parallel.ok
+    assert parallel.engine_stats["parallel_batches"] >= 1
     for key in ("worst_yes_acceptance", "worst_no_rejection", "trials_per_instance"):
         assert direct.details[key] == parallel.details[key]
 

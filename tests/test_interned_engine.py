@@ -25,11 +25,6 @@ from repro.graphs.neighbourhood import extract_neighbourhood
 from repro.local_model import NO, YES, FunctionAlgorithm, FunctionIdObliviousAlgorithm
 from repro.workloads.families import bundled_families
 
-# Tiny thresholds so ParallelEngine actually routes these small sweeps to
-# the worker pool instead of the warm in-process engine (same idiom as
-# tests/test_parallel_engine.py).
-SHARD = dict(min_parallel_jobs=2, min_parallel_nodes=8, adaptive=False)
-
 
 class DictDirectEngine(DirectEngine):
     """The per-job dict oracle: every job runs through per-node :meth:`DirectEngine.run`."""
@@ -146,7 +141,7 @@ def _engines():
     yield "interned-direct", DirectEngine()
     yield "cached", CachedEngine()
     for workers in (1, 2, 4):
-        yield f"parallel-{workers}", ParallelEngine(workers=workers, **SHARD)
+        yield f"parallel-{workers}", ParallelEngine(workers=workers, adaptive=False)
 
 
 @pytest.mark.parametrize("family", bundled_families(), ids=lambda f: f.name)

@@ -32,9 +32,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.report import aggregate, load_trace
 
-#: Forced-pool configuration: tiny floors, no cost model, deterministic routing.
-SHARD = dict(min_parallel_jobs=2, min_parallel_nodes=8, adaptive=False)
-
 #: The two quick campaign scenarios the replay-exactness test sweeps.
 SMOKE = ["classic-cycles-vs-paths", "sec2-promise-cycles"]
 
@@ -133,10 +130,10 @@ def test_parallel_trace_merges_into_one_tree(tmp_path, workers):
     jobs = _jobs()
     baseline = CachedEngine().run_many(Deg2Decider(), jobs)
     try:
-        untraced = ParallelEngine(workers=workers, **SHARD).run_many(Deg2Decider(), jobs)
+        untraced = ParallelEngine(workers=workers, adaptive=False).run_many(Deg2Decider(), jobs)
         path = tmp_path / "t.jsonl"
         trace.enable(path)
-        traced = ParallelEngine(workers=workers, **SHARD).run_many(Deg2Decider(), jobs)
+        traced = ParallelEngine(workers=workers, adaptive=False).run_many(Deg2Decider(), jobs)
         trace.disable()
     finally:
         shutdown_pool()
@@ -173,7 +170,7 @@ def test_worker_pids_differ_from_parent_in_span_ids(tmp_path):
     path = tmp_path / "t.jsonl"
     try:
         trace.enable(path)
-        ParallelEngine(workers=2, **SHARD).run_many(Deg2Decider(), _jobs())
+        ParallelEngine(workers=2, adaptive=False).run_many(Deg2Decider(), _jobs())
         trace.disable()
     finally:
         shutdown_pool()
@@ -233,7 +230,7 @@ def test_pool_counters_come_from_the_registry():
     shutdown_pool()
     try:
         pool = get_pool()
-        engine = ParallelEngine(workers=2, **SHARD)
+        engine = ParallelEngine(workers=2, adaptive=False)
         jobs = _jobs()
         engine.run_many(Deg2Decider(), jobs)
         counters = pool.counters()

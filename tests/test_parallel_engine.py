@@ -3,8 +3,8 @@
 The sharding contract: for any worker count — including the degenerate
 1-worker pool — the parallel backend produces verdicts and randomised-
 estimation statistics identical to the direct and cached backends.  The
-tests force sharding with tiny parallelism thresholds so the pool paths are
-actually exercised on the small test instances.
+tests force sharding with ``adaptive=False`` so the pool paths are actually
+exercised on the small test instances.
 """
 
 import pytest
@@ -42,14 +42,11 @@ from repro.separation.bounded_ids import (
     small_bound,
 )
 
-# Tiny thresholds so the pool paths run even on the small test inputs;
-# adaptive=False disables the cost model so routing to the pool is
-# deterministic (the model would keep work this small in-process).
-SHARD = dict(min_parallel_jobs=2, min_parallel_nodes=8, adaptive=False)
-
 
 def _parallel(workers):
-    return ParallelEngine(workers=workers, **SHARD)
+    # adaptive=False sends every batch of two or more jobs to the pool, so
+    # the pool paths run even on the small test inputs.
+    return ParallelEngine(workers=workers, adaptive=False)
 
 
 # ---------------------------------------------------------------------- #
@@ -61,42 +58,16 @@ def _parallel(workers):
 def test_partition_chunks_covers_range_contiguously(count, shards):
     chunks = partition_chunks(count, shards)
     assert len(chunks) <= max(1, shards)
-    flattened = [i for start, stop in chunks for i in range(start, stop)]
+    flattened = [i for chunk in chunks for i in chunk]
     assert flattened == list(range(count))
-    assert all(stop > start for start, stop in chunks)
+    assert all(chunk.step == 1 and len(chunk) > 0 for chunk in chunks)
     # Determinism: the partition is a pure function of (count, shards).
     assert chunks == partition_chunks(count, shards)
 
 
 def test_partition_chunks_balanced():
-    sizes = [stop - start for start, stop in partition_chunks(10, 4)]
+    sizes = [len(chunk) for chunk in partition_chunks(10, 4)]
     assert max(sizes) - min(sizes) <= 1
-
-
-@pytest.mark.parametrize("count,shards", [(0, 4), (1, 4), (5, 2), (8, 3), (12, 12), (7, 100)])
-def test_partition_chunks_striped_covers_range(count, shards):
-    chunks = partition_chunks(count, shards, mode="striped")
-    assert len(chunks) <= max(1, shards)
-    flattened = sorted(i for chunk in chunks for i in chunk)
-    assert flattened == list(range(count))
-    assert all(len(chunk) > 0 for chunk in chunks)
-    sizes = [len(chunk) for chunk in chunks]
-    if sizes:
-        assert max(sizes) - min(sizes) <= 1
-    assert chunks == partition_chunks(count, shards, mode="striped")
-
-
-def test_partition_chunks_striped_interleaves():
-    # Jobs sorted big-first must spread across workers, not pile on worker 0.
-    chunks = partition_chunks(6, 2, mode="striped")
-    assert [list(c) for c in chunks] == [[0, 2, 4], [1, 3, 5]]
-
-
-def test_partition_chunks_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="striped"):
-        partition_chunks(4, 2, mode="zigzag")
-    with pytest.raises(ValueError):
-        ParallelEngine(workers=2, partition="zigzag")
 
 
 # ---------------------------------------------------------------------- #
@@ -225,7 +196,7 @@ def test_stats_are_exact_even_when_a_worker_takes_several_chunks():
     # More chunks than workers: a fast worker picks up several chunks; each
     # chunk must contribute its own counters exactly once.
     graphs = [cycle_graph(12, label="x") for _ in range(16)]
-    engine = ParallelEngine(workers=3, min_parallel_jobs=2)
+    engine = ParallelEngine(workers=3, adaptive=False)
     for _ in range(3):
         engine.reset_stats()
         outputs = engine.run_many(_cycle_decider(), [(g, None) for g in graphs])
@@ -234,13 +205,12 @@ def test_stats_are_exact_even_when_a_worker_takes_several_chunks():
 
 
 def test_empty_sweeps_short_circuit_without_forking():
-    # partition_chunks(0, k) is [] — an empty batch must never touch the
-    # pool (no forks, no payload ships), even when the parallelism
-    # thresholds would otherwise send it to the pool path.
+    # An empty batch must never touch the pool (no forks, no payload
+    # ships), even on an engine that sends every other batch there.
     from repro.engine import get_pool
 
     forks_before = get_pool().forks
-    engine = ParallelEngine(workers=3, min_parallel_jobs=0, min_parallel_nodes=0, adaptive=False)
+    engine = ParallelEngine(workers=3, adaptive=False)
     assert engine.run_many(_cycle_decider(), []) == []
     assert engine.run_randomised_many(_coin_decider(), []) == []
     empty = InstanceFamily(name="empty", yes_instances=[], no_instances=[])
@@ -265,12 +235,11 @@ def test_inherited_payload_is_cleared_after_each_batch():
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("mode", ["contiguous", "striped"])
-def test_verdicts_identical_across_workers_and_partitioning(workers, mode):
-    # The ISSUE acceptance bar: serial and parallel verdicts byte-identical
-    # for workers in {1, 2, 4} under both partition modes, deterministic
-    # and randomised drivers alike.
-    engine = ParallelEngine(workers=workers, partition=mode, **SHARD)
+def test_verdicts_identical_across_workers_and_partitioning(workers):
+    # Serial and parallel verdicts byte-identical for workers in {1, 2, 4}
+    # (each worker count splits the jobs into different chunks),
+    # deterministic and randomised drivers alike.
+    engine = _parallel(workers)
     serial = CachedEngine()
     det = _cycle_decider()
     jobs = [(cycle_graph(n, label="x"), None) for n in (12, 16, 9, 24, 7, 13)]

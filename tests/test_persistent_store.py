@@ -100,12 +100,14 @@ def test_cold_and_warm_sweeps_are_byte_identical(tmp_path, workers):
     baseline = _verify(DirectEngine())
 
     def engine():
-        inner = ParallelEngine(workers=workers, min_parallel_jobs=2, min_parallel_nodes=8)
+        inner = ParallelEngine(workers=workers, adaptive=False)
         return inner.with_store(tmp_path / "store")
 
     cold_engine = engine()
     cold = _verify(cold_engine)
     cold_engine.store.close()
+    if workers > 1:
+        assert cold_engine.stats.extra["parallel_batches"] >= 1
     # Segments are loaded when a store opens, so the warm engine is built
     # only after the cold run has settled its verdicts on disk.
     warm = _verify(engine())
@@ -126,12 +128,14 @@ def test_randomised_estimates_replay_identically(tmp_path, workers):
     baseline = estimate_acceptance_probability(_coin_decider(), graph, trials=10, seed=5)
 
     def engine():
-        inner = ParallelEngine(workers=workers, min_parallel_jobs=2, min_parallel_nodes=8)
+        inner = ParallelEngine(workers=workers, adaptive=False)
         return inner.with_store(tmp_path / "store")
 
     cold_engine = engine()
     cold = estimate_acceptance_probability(_coin_decider(), graph, trials=10, seed=5, engine=cold_engine)
     cold_engine.store.close()
+    if workers > 1:
+        assert cold_engine.stats.extra["parallel_batches"] >= 1
     warm = estimate_acceptance_probability(_coin_decider(), graph, trials=10, seed=5, engine=engine())
 
     assert cold.accepts == warm.accepts == baseline.accepts

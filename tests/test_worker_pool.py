@@ -6,18 +6,20 @@ pool re-forks lazily afterwards, so shutting it down never breaks later
 tests.  The load-bearing claims: workers survive across sweeps with zero
 re-forks, identical payloads are never re-shipped, a killed worker is
 replaced without losing a batch, shutdown is idempotent, unpicklable
-payloads fall back to fork inheritance, and workers replay settled jobs
-from a read-only verdict store.
+payloads fall back to fork inheritance, workers replay settled jobs from
+a read-only verdict store, and an adaptive engine routes a batch by its
+size alone, whatever ran before it.
 """
 
 import os
 import signal
+import time
 
 import pytest
 
 from repro.engine import (
+    POOL_MIN_UNITS,
     CachedEngine,
-    CostModel,
     ParallelEngine,
     PersistentEngine,
     VerdictStore,
@@ -26,9 +28,6 @@ from repro.engine import (
 )
 from repro.graphs import cycle_graph, path_graph
 from repro.local_model import NO, YES, FunctionIdObliviousAlgorithm
-
-#: Forced-pool configuration: tiny floors, no cost model.
-SHARD = dict(min_parallel_jobs=2, min_parallel_nodes=8, adaptive=False)
 
 
 class Deg2Decider:
@@ -70,7 +69,7 @@ def cold_pool():
 
 
 def test_pool_survives_sweeps_with_zero_reforks(cold_pool):
-    engine = ParallelEngine(workers=2, **SHARD)
+    engine = ParallelEngine(workers=2, adaptive=False)
     jobs = _jobs()
     first = engine.run_many(Deg2Decider(), jobs)
     assert first == CachedEngine().run_many(Deg2Decider(), jobs)
@@ -86,7 +85,7 @@ def test_pool_survives_sweeps_with_zero_reforks(cold_pool):
 
 
 def test_identical_payload_is_shipped_once(cold_pool):
-    engine = ParallelEngine(workers=2, **SHARD)
+    engine = ParallelEngine(workers=2, adaptive=False)
     decider = Deg2Decider()
     jobs = _jobs()
     engine.run_many(decider, jobs)
@@ -106,11 +105,11 @@ def test_identical_payload_is_shipped_once(cold_pool):
 
 def test_pool_is_shared_across_engine_instances(cold_pool):
     jobs = _jobs()
-    ParallelEngine(workers=2, **SHARD).run_many(Deg2Decider(), jobs)
+    ParallelEngine(workers=2, adaptive=False).run_many(Deg2Decider(), jobs)
     forks_warm = cold_pool.forks
     # A second engine (a campaign builds one per scenario) reuses the
     # same live workers instead of forking its own.
-    engine = ParallelEngine(workers=2, **SHARD)
+    engine = ParallelEngine(workers=2, adaptive=False)
     engine.run_many(Deg2Decider(), jobs)
     assert cold_pool.forks == forks_warm
 
@@ -121,7 +120,7 @@ def test_pool_is_shared_across_engine_instances(cold_pool):
 
 
 def test_shutdown_is_idempotent_and_pool_recovers(cold_pool):
-    engine = ParallelEngine(workers=2, **SHARD)
+    engine = ParallelEngine(workers=2, adaptive=False)
     jobs = _jobs()
     expected = engine.run_many(Deg2Decider(), jobs)
     assert cold_pool.alive_workers() == 2
@@ -137,7 +136,7 @@ def test_shutdown_is_idempotent_and_pool_recovers(cold_pool):
 
 def test_parallel_engine_is_a_context_manager(cold_pool):
     jobs = _jobs()
-    with ParallelEngine(workers=2, **SHARD) as engine:
+    with ParallelEngine(workers=2, adaptive=False) as engine:
         expected = engine.run_many(Deg2Decider(), jobs)
         assert cold_pool.alive_workers() == 2
     assert cold_pool.alive_workers() == 0
@@ -145,7 +144,7 @@ def test_parallel_engine_is_a_context_manager(cold_pool):
 
 
 def test_killed_worker_is_replaced_without_losing_the_batch(cold_pool):
-    engine = ParallelEngine(workers=2, **SHARD)
+    engine = ParallelEngine(workers=2, adaptive=False)
     decider = Deg2Decider()
     jobs = _jobs()
     expected = engine.run_many(decider, jobs)
@@ -168,7 +167,7 @@ def test_worker_error_propagates_and_pool_stays_usable(cold_pool):
         def evaluate(self, view):
             raise ZeroDivisionError("boom")
 
-    engine = ParallelEngine(workers=2, **SHARD)
+    engine = ParallelEngine(workers=2, adaptive=False)
     with pytest.raises(ZeroDivisionError, match="boom"):
         engine.run_many(Exploding(), _jobs())
     # The failure neither killed the workers nor desynchronised the pipes.
@@ -185,7 +184,7 @@ def test_unpicklable_payload_falls_back_to_fork_inheritance(cold_pool):
     decider = FunctionIdObliviousAlgorithm(
         lambda view: YES if view.center_degree() == 2 else NO, radius=1, name="lambda-deg2"
     )
-    engine = ParallelEngine(workers=2, **SHARD)
+    engine = ParallelEngine(workers=2, adaptive=False)
     jobs = _jobs()
     forks_before = cold_pool.forks
     bytes_before = cold_pool.payload_ship_bytes
@@ -218,7 +217,7 @@ def test_workers_replay_settled_jobs_from_store(cold_pool, tmp_path):
     # entry, so the misses it delegates to the pool are jobs the *workers*
     # can replay from disk (they open the store read-only, full-sized).
     with VerdictStore(tmp_path / "store", max_memory_entries=1) as tiny_front:
-        inner = ParallelEngine(workers=2, **SHARD)
+        inner = ParallelEngine(workers=2, adaptive=False)
         engine = PersistentEngine(tiny_front, inner=inner)
         outputs = engine.run_many(decider, jobs)
         assert outputs == CachedEngine().run_many(decider, jobs)
@@ -240,44 +239,42 @@ def test_read_only_store_never_touches_disk(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# The cost model
+# Routing
 # ---------------------------------------------------------------------- #
 
 
-def test_cost_model_keeps_tiny_batches_in_process():
-    model = CostModel()
-    # One worker can never win, and tiny batches never cover the dispatch
-    # overhead even on a warm pool.
-    assert not model.prefer_pool(100, 1, warm=True)
-    assert not model.prefer_pool(10, 2, warm=True)
-    assert not model.prefer_pool(10, 2, warm=False)
+class SlowDeg2Decider(Deg2Decider):
+    """Deg2Decider that takes 20 ms per evaluation."""
+
+    name = "slow-deg2"
+
+    def evaluate(self, view):
+        time.sleep(0.02)
+        return super().evaluate(view)
 
 
-def test_cost_model_prefers_pool_for_large_batches_when_serial_is_slow():
-    model = CostModel()
-    model.observe_serial(1000, 1.0)  # 1 ms per unit in-process: slow
-    for _ in range(8):
-        model.observe_pool(1000, 0.01, 2)  # the pool is much faster
-    assert model.prefer_pool(100_000, 2, warm=True)
-    # Cold-pool fork cost still protects small batches.
-    assert not model.prefer_pool(100, 2, warm=False)
-
-
-def test_cost_model_ewma_moves_towards_observations():
-    model = CostModel(alpha=0.5)
-    before = model.serial_rate
-    model.observe_serial(1_000_000, 1.0)  # 1 µs per unit
-    assert model.serial_rate != before
-    model.observe_pool(0, 1.0, 2)  # zero-unit observations are ignored
-    assert model.pool_rate == CostModel().pool_rate
-
-
-def test_adaptive_engine_keeps_small_sweeps_off_the_pool(cold_pool):
+def test_routing_depends_only_on_the_batch(cold_pool):
+    engine = ParallelEngine(workers=2)  # adaptive
     forks_before = cold_pool.forks
-    engine = ParallelEngine(workers=2)  # adaptive, default floors
-    jobs = [(path_graph(6, label="x"), None) for _ in range(3)]
-    outputs = engine.run_many(Deg2Decider(), jobs)
-    assert outputs == CachedEngine().run_many(Deg2Decider(), jobs)
-    # Below the floors and below any sane cost threshold: no forks at all.
+    # A small batch with a slow decider stays in-process on a cold pool and
+    # forks nothing.  A model that learns rates from past batches would
+    # now rate in-process work as slow and send small batches to the pool.
+    slow_jobs = [(path_graph(6, label="routing-slow"), None) for _ in range(4)]
+    outputs = engine.run_many(SlowDeg2Decider(), slow_jobs)
+    assert outputs == CachedEngine().run_many(Deg2Decider(), slow_jobs)
     assert cold_pool.forks == forks_before
     assert "parallel_batches" not in engine.stats.extra
+    # Warm the pool with one forced batch.
+    ParallelEngine(workers=2, adaptive=False).run_many(Deg2Decider(), _jobs())
+    assert cold_pool.alive_workers() == 2
+    # Below POOL_MIN_UNITS: in-process, although the pool is warm.
+    small = [(path_graph(6, label="routing-small"), None) for _ in range(4)]
+    assert sum(g.num_nodes() * (Deg2Decider.radius + 1) for g, _ in small) < POOL_MIN_UNITS
+    batches = cold_pool.batches
+    assert engine.run_many(Deg2Decider(), small) == CachedEngine().run_many(Deg2Decider(), small)
+    assert cold_pool.batches == batches
+    # At or above POOL_MIN_UNITS: the pool.
+    size = 32
+    large = [(cycle_graph(size, label="routing-large"), None) for _ in range(POOL_MIN_UNITS // (2 * size) + 1)]
+    assert engine.run_many(Deg2Decider(), large) == CachedEngine().run_many(Deg2Decider(), large)
+    assert cold_pool.batches == batches + 1
