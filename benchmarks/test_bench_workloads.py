@@ -9,7 +9,7 @@ produce identical per-cell spec digests and verdicts.
 
 The headline ``speedup_parallel_over_serial`` is the warm sweep's ratio:
 the persistent pool's whole point is that workers and the shared
-content-keyed engine survive across sweeps, so campaign-style repeated
+fingerprint-keyed engine survive across sweeps, so campaign-style repeated
 runs hit warm ball caches instead of re-deriving every verdict.  The cold
 ratio is recorded alongside (not gated — on cells this small the one-off
 fork tax can eat the win), and CI gates both the serial throughput and

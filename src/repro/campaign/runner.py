@@ -53,6 +53,7 @@ from ..decision.randomized import evaluate_pq_decider
 from ..engine.base import EngineLike, ExecutionEngine, resolve_engine
 from ..engine.parallel import ParallelEngine
 from ..engine.persistent import VerdictStore
+from ..engine.store import open_append_log
 from ..obs import trace
 from .scenarios import bundled_scenarios, get_scenario
 from .spec import CampaignReport, ScenarioResult, ScenarioSpec
@@ -297,24 +298,6 @@ def _append_result(handle, result: ScenarioResult) -> None:
     result.phase_seconds["persist"] = time.perf_counter() - started
 
 
-def _open_log(path: Union[str, Path]):
-    """Open the result log for appending, healing a truncated tail.
-
-    A crash mid-write can leave the last line without its newline; start
-    the next record on a fresh line so it stays parseable (the truncated
-    fragment is skipped by :func:`load_result_log` either way).
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle = path.open("a")
-    if handle.tell() > 0:
-        with path.open("rb") as probe:
-            probe.seek(-1, os.SEEK_END)
-            if probe.read(1) != b"\n":
-                handle.write("\n")
-    return handle
-
-
 def _iter_specs(
     scenarios: Optional[Iterable[Union[ScenarioSpec, str]]],
     seed: Optional[int],
@@ -370,7 +353,7 @@ def run_campaign(
     log_handle = None
     if log_path is not None:
         logged = load_result_log(log_path)
-        log_handle = _open_log(log_path)
+        log_handle = open_append_log(log_path)
     with trace.span("campaign.run", name=name, quick=quick) as sp:
         try:
             for spec in _iter_specs(scenarios, seed):
@@ -439,7 +422,7 @@ def resume_campaign(
     log_handle = None
     if log_path is not None:
         logged = load_result_log(log_path)
-        log_handle = _open_log(log_path)
+        log_handle = open_append_log(log_path)
     reused = 0
     requested: set = set()
     with trace.span("campaign.run", name=previous.name, quick=quick, resume=True) as sp:

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..engine.base import EngineLike, resolve_engine
+from ..engine.base import EngineLike, resolve_engine, store_counters, store_job_split
 from ..errors import DecisionError
 from ..graphs.identifiers import IdAssignment
 from ..graphs.labelled_graph import LabelledGraph
@@ -133,15 +133,11 @@ def estimate_acceptance_probability(
     """
     engine = resolve_engine(engine)
     rng = random.Random(seed)
-    before_replayed = engine.stats.extra.get("store_replayed", 0)
-    before_computed = engine.stats.extra.get("store_computed", 0)
+    before = store_counters(engine)
     jobs = [(graph, ids, rng.randrange(2**62)) for _ in range(trials)]
     outputs_list = engine.run_randomised_many(algorithm, jobs)
     accepts = sum(1 for outputs in outputs_list if _accepts(outputs))
-    replayed = engine.stats.extra.get("store_replayed", 0) - before_replayed
-    computed = engine.stats.extra.get("store_computed", 0) - before_computed
-    if not (replayed or computed):
-        computed = trials
+    replayed, computed = store_job_split(engine, before, trials)
     return AcceptanceEstimate(
         instance_nodes=graph.num_nodes(),
         trials=trials,

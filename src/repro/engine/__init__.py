@@ -55,7 +55,6 @@ from .persistent import (
     StoreCorruptionWarning,
     VerdictStore,
     algorithm_fingerprint,
-    exact_algorithm_fingerprint,
     job_digest,
 )
 from .pool import (
@@ -84,7 +83,6 @@ __all__ = [
     "VerdictStore",
     "StoreCorruptionWarning",
     "algorithm_fingerprint",
-    "exact_algorithm_fingerprint",
     "job_digest",
     "partition_chunks",
     "InternedGraph",

@@ -61,46 +61,34 @@ MAX_RUN_ENTRIES = 4096
 class CachedEngine(ExecutionEngine):
     """Shared interned balls, canonical-key interning and memoised evaluation.
 
-    Parameters
-    ----------
-    content_keyed:
-        Key the memo and run stores by the algorithm's *content
-        fingerprint* instead of its identity.  Sweeps that rebuild
-        equal-content algorithm objects per cell (the workload matrix
-        builds a fresh decider for every cell) then share one memo.  Only
-        algorithms whose fingerprint is provably exact
-        (:func:`~repro.engine.persistent.exact_algorithm_fingerprint`)
-        are content-keyed; anything else silently keeps identity keys,
-        so the flag can never conflate behaviourally different code.
+    The memo and run stores are keyed by the algorithm's exact content
+    fingerprint (:func:`~repro.engine.persistent.algorithm_fingerprint`)
+    when it has one, so sweeps that rebuild equal-content algorithm
+    objects (the workload matrix builds a fresh decider for every cell)
+    share one memo.  An algorithm without a fingerprint is keyed by
+    identity, so behaviourally different code is never conflated.
     """
 
     name = "cached"
 
-    def __init__(self, content_keyed: bool = False) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self._balls = LRUStore(MAX_BALL_COLLECTIONS)
         self._memo = LRUStore(MAX_MEMO_ENTRIES)
         self._keys = LRUStore(MAX_INTERNED_KEYS)
         self._runs = LRUStore(MAX_RUN_ENTRIES)
-        self.content_keyed = content_keyed
         # id(algorithm) -> (algorithm, key); the stored reference keeps the
         # object alive so a recycled id can never alias a dead algorithm.
         self._algo_keys: Dict[int, Tuple[object, Hashable]] = {}
 
     def _algo_key(self, algorithm: "LocalAlgorithm") -> Hashable:
-        """The memo key component standing for ``algorithm``.
-
-        Identity (the object itself) by default; with ``content_keyed``,
-        the exact content fingerprint when one exists.
-        """
-        if not self.content_keyed:
-            return algorithm
+        """The memo key component standing for ``algorithm``: its fingerprint, else itself."""
         entry = self._algo_keys.get(id(algorithm))
         if entry is not None and entry[0] is algorithm:
             return entry[1]
-        from .persistent import exact_algorithm_fingerprint
+        from .persistent import algorithm_fingerprint
 
-        token = exact_algorithm_fingerprint(algorithm)
+        token = algorithm_fingerprint(algorithm)
         key: Hashable = algorithm if token is None else ("content", token)
         if len(self._algo_keys) > 4096:
             self._algo_keys.clear()

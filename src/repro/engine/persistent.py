@@ -9,7 +9,8 @@ direction calls for:
   outputs.  Entries live in JSONL *segments* (one file per writing
   process), are loaded into a bounded :class:`~repro.engine.store.LRUStore`
   front on open, and are content-addressed by a stable digest of the job
-  (canonical graph/identifier/seed tokens + an algorithm fingerprint).
+  (canonical graph/identifier/seed tokens + the algorithm's exact
+  :func:`algorithm_fingerprint`).
   Segments are append-only, so concurrent readers are safe and a crashed
   run can never corrupt previously settled verdicts; a truncated trailing
   line (killed mid-append) is skipped with a warning on the next open.
@@ -33,11 +34,14 @@ because per-node streams derive from
 explicit seed are never persisted.
 
 Invalidation is by construction rather than by deletion: the digest keys
-include a fingerprint of the algorithm's *code* (bytecode of ``evaluate``
-and wrapped functions, closure constants, primitive attributes), so
-editing a decider changes its fingerprint and all previously stored
-verdicts for it simply stop matching.  :meth:`VerdictStore.clear` drops
-the segments wholesale when an explicit reset is wanted.
+include an exact fingerprint of the algorithm's *code and parameters*
+(bytecode of ``evaluate`` and wrapped functions, closure values, every
+instance attribute), so editing a decider changes its fingerprint and all
+previously stored verdicts for it simply stop matching.  An algorithm the
+fingerprint cannot capture exactly (an attribute holding an arbitrary
+object, say) has no digest: its jobs run unpersisted, so a replay is
+always of the very algorithm that stored it.  :meth:`VerdictStore.clear`
+drops the segments wholesale when an explicit reset is wanted.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ from ..obs.metrics import (
     Metric,
 )
 from .base import EngineLike, ExecutionEngine, resolve_engine
-from .store import LRUStore
+from .store import LRUStore, open_append_log
 
 if TYPE_CHECKING:  # type-only; keeps engine ↔ local_model import-cycle-free
     from ..local_model.algorithm import LocalAlgorithm, RandomisedLocalAlgorithm
@@ -82,7 +86,6 @@ __all__ = [
     "PersistentEngine",
     "VerdictStore",
     "algorithm_fingerprint",
-    "exact_algorithm_fingerprint",
     "job_digest",
     "StoreCorruptionWarning",
 ]
@@ -126,7 +129,13 @@ def _raw_code_token(code: Any) -> str:
 
 
 def _code_token(fn: Any) -> str:
-    """A stable token for a function's behaviour: bytecode, consts and closure."""
+    """A lenient token for a function's behaviour: bytecode, consts and closure.
+
+    Non-primitive, non-callable closure cells are approximated by their
+    type name.  Good enough for :meth:`~repro.campaign.spec.ScenarioSpec.digest`
+    (a scenario's ``build`` code); algorithms are keyed by the exact
+    :func:`algorithm_fingerprint` instead.
+    """
     fn = getattr(fn, "__func__", fn)  # unwrap bound methods
     code = getattr(fn, "__code__", None)
     if code is None:
@@ -143,44 +152,6 @@ def _code_token(fn: Any) -> str:
             for cell in closure
         )
     return _sha256(_raw_code_token(code), repr(cells))
-
-
-def algorithm_fingerprint(algorithm: Any) -> str:
-    """Return a stable fingerprint of an algorithm's identity *and* code.
-
-    The fingerprint covers the class, declared name/radius/obliviousness,
-    the bytecode of ``evaluate`` (and of a wrapped ``_fn`` for the function
-    adapters, closure constants included) and the primitive attributes of
-    the instance.  Editing a decider therefore changes its fingerprint,
-    which is how stored verdicts go stale without any explicit
-    invalidation.  An algorithm may override all of this by providing a
-    ``store_fingerprint()`` method returning any stable value.
-    """
-    custom = getattr(algorithm, "store_fingerprint", None)
-    if callable(custom):
-        return _sha256("custom", repr(custom()))
-    parts: List[str] = [
-        type(algorithm).__module__,
-        type(algorithm).__qualname__,
-        repr(getattr(algorithm, "name", "")),
-        repr(getattr(algorithm, "radius", None)),
-        repr(getattr(algorithm, "uses_identifiers", None)),
-    ]
-    parts.append(_code_token(algorithm.evaluate))
-    wrapped = getattr(algorithm, "_fn", None)
-    if callable(wrapped):
-        parts.append(_code_token(wrapped))
-    attrs = getattr(algorithm, "__dict__", None)
-    if attrs:
-        for key in sorted(attrs):
-            value = attrs[key]
-            if key in ("name",) or key.startswith("__"):
-                continue
-            if isinstance(value, _PRIMITIVES + (tuple, frozenset)):
-                parts.append(f"{key}={value!r}")
-            elif callable(value):
-                parts.append(f"{key}~{_code_token(value)}")
-    return _sha256(*parts)
 
 
 def _exact_repr(value: Any, depth: int = 0) -> Optional[str]:
@@ -206,12 +177,9 @@ def _exact_repr(value: Any, depth: int = 0) -> Optional[str]:
 def _strict_code_token(fn: Any, depth: int = 0) -> Optional[str]:
     """Like :func:`_code_token`, but ``None`` unless provably exact.
 
-    The lenient token approximates non-primitive closure cells by their
-    type name and silently skips non-primitive attributes — fine for
-    best-effort store invalidation, unsound as a *memoisation* key (two
-    behaviourally different algorithms could share it).  This variant
-    refuses instead: any closure cell that is neither primitive nor itself
-    exactly tokenisable makes the whole token ``None``.
+    Any closure cell that is neither an exact value (see :func:`_exact_repr`)
+    nor itself exactly tokenisable makes the whole token ``None``: two
+    behaviourally different functions must never share a token.
     """
     if depth > 8:
         return None
@@ -243,21 +211,21 @@ def _strict_code_token(fn: Any, depth: int = 0) -> Optional[str]:
     return _sha256("strict", module, _raw_code_token(code), repr(tuple(cells)))
 
 
-def exact_algorithm_fingerprint(algorithm: Any) -> Optional[str]:
-    """A content fingerprint safe to use as a memoisation key, or ``None``.
+def algorithm_fingerprint(algorithm: Any) -> Optional[str]:
+    """The algorithm's exact content identity, or ``None`` when it has none.
 
     Returns a token only when every behaviour-carrying part of the
     algorithm is captured exactly: its class, declared radius and
     obliviousness, the strict code token of ``evaluate`` (and of a wrapped
     ``_fn``), and every instance attribute — which must be primitive,
     tuple/frozenset of primitives, or exactly-tokenisable callables.  One
-    approximated part returns ``None`` and callers fall back to identity
-    keys.  ``store_fingerprint()`` overrides are trusted as exact (that is
-    their documented contract).
+    approximated part returns ``None``.  The fingerprint keys both the
+    verdict store (:func:`job_digest`) and the
+    :class:`~repro.engine.cached.CachedEngine` memo; an algorithm without
+    one is memoised by identity and never persisted.  Editing a decider's
+    code or parameters changes its fingerprint, which is how stored
+    verdicts go stale without any explicit invalidation.
     """
-    custom = getattr(algorithm, "store_fingerprint", None)
-    if callable(custom):
-        return _sha256("custom", repr(custom()))
     parts: List[str] = [
         type(algorithm).__module__,
         type(algorithm).__qualname__,
@@ -323,9 +291,11 @@ def job_digest(
     seed: Optional[int] = None,
     fingerprint: Optional[str] = None,
     graph_token: Optional[str] = None,
-) -> str:
+) -> Optional[str]:
     """Digest addressing one whole-run job ``(algorithm, graph, ids[, seed])``.
 
+    ``None`` when the algorithm has no :func:`algorithm_fingerprint`: such
+    a job has no content address and must not touch the store.
     Id-oblivious algorithms' outputs do not depend on the assignment, so
     their digests deliberately omit it — every assignment of a sweep after
     the first replays from one stored entry, exactly like the in-memory
@@ -333,6 +303,8 @@ def job_digest(
     """
     if fingerprint is None:
         fingerprint = algorithm_fingerprint(algorithm)
+        if fingerprint is None:
+            return None
     if graph_token is None:
         graph_token = _graph_token(graph)
     oblivious = not getattr(algorithm, "uses_identifiers", True)
@@ -434,9 +406,10 @@ class VerdictStore:
 
     Each segment line is ``{"k": <digest>, "v": <encoded outputs>}``.
     Truncated or otherwise undecodable lines (a run killed mid-append) are
-    skipped with a :class:`StoreCorruptionWarning` instead of crashing,
-    and later appends never touch earlier bytes, so one bad line costs one
-    verdict, not the store.
+    skipped with a :class:`StoreCorruptionWarning` instead of crashing.
+    A segment is reopened with its truncated tail healed, so the next
+    append starts on a fresh line, and appends never touch earlier bytes:
+    one bad line costs one verdict, not the store.
     """
 
     def __init__(
@@ -504,7 +477,7 @@ class VerdictStore:
 
     def _segment(self):
         if self._segment_file is None:
-            self._segment_file = open(self._segment_path, "a", encoding="utf-8")
+            self._segment_file = open_append_log(self._segment_path)
         return self._segment_file
 
     # -- mapping interface ----------------------------------------------- #
@@ -583,6 +556,9 @@ class VerdictStore:
 # ---------------------------------------------------------------------- #
 
 
+_UNSEEN = object()
+
+
 class PersistentEngine(ExecutionEngine):
     """Wrap any engine with the cross-run verdict store.
 
@@ -608,9 +584,12 @@ class PersistentEngine(ExecutionEngine):
     Only *whole* runs are persisted (complete output maps of one
     ``(graph, ids[, seed])`` job); partial node subsets and randomised
     runs without an explicit seed pass straight through to the inner
-    engine.  The batched drivers consult the store first and delegate
-    only the misses — as one batch, so a sharding inner engine still
-    sees maximal fan-out.
+    engine.  So does every job of an algorithm without an
+    :func:`algorithm_fingerprint`: it is computed, never read from or
+    written to the store, and counted as ``store_computed`` plus
+    ``store_unpersistable``.  The batched drivers consult the store first
+    and delegate only the misses — as one batch, so a sharding inner
+    engine still sees maximal fan-out.
     """
 
     name = "persistent"
@@ -647,9 +626,9 @@ class PersistentEngine(ExecutionEngine):
 
     # -- digesting (memoised per engine) --------------------------------- #
 
-    def _fingerprint(self, algorithm: Any) -> str:
-        cached = self._fingerprints.get(algorithm)
-        if cached is None:
+    def _fingerprint(self, algorithm: Any) -> Optional[str]:
+        cached = self._fingerprints.get(algorithm, _UNSEEN)
+        if cached is _UNSEEN:
             cached = self._fingerprints.put(algorithm, algorithm_fingerprint(algorithm))
         return cached
 
@@ -670,19 +649,24 @@ class PersistentEngine(ExecutionEngine):
         graph: LabelledGraph,
         ids: Optional[IdAssignment],
         seed: Optional[int] = None,
-    ) -> str:
+    ) -> Optional[str]:
+        fingerprint = self._fingerprint(algorithm)
+        if fingerprint is None:
+            return None
         return job_digest(
             algorithm,
             graph,
             ids,
             seed,
-            fingerprint=self._fingerprint(algorithm),
+            fingerprint=fingerprint,
             graph_token=self._graph_token(graph),
         )
 
     # -- store traffic ---------------------------------------------------- #
 
-    def _replay(self, digest: str, graph: LabelledGraph) -> Optional[Dict[Node, Hashable]]:
+    def _replay(self, digest: Optional[str], graph: LabelledGraph) -> Optional[Dict[Node, Hashable]]:
+        if digest is None:
+            return None
         payload = self.store.get(digest)
         if payload is None:
             return None
@@ -696,10 +680,15 @@ class PersistentEngine(ExecutionEngine):
         self._count(STORE_REPLAYED)
         return outputs
 
-    def _persist(self, digest: str, graph: LabelledGraph, outputs: Dict[Node, Hashable]) -> None:
+    def _persist(
+        self, digest: Optional[str], graph: LabelledGraph, outputs: Dict[Node, Hashable]
+    ) -> None:
         if self.replay_only:
             return
         self._count(STORE_COMPUTED)
+        if digest is None:
+            self._count(STORE_UNPERSISTABLE)
+            return
         try:
             self.store.put(digest, _encode_outputs(graph, outputs))
         except _Unpersistable:
@@ -771,7 +760,7 @@ class PersistentEngine(ExecutionEngine):
         jobs = list(jobs)
         results: List[Optional[Dict[Node, Hashable]]] = [None] * len(jobs)
         missing: List[int] = []
-        digests: List[str] = []
+        digests: List[Optional[str]] = []
         with trace.span("store.lookup", jobs=len(jobs)) as sp:
             for k, (graph, ids) in enumerate(jobs):
                 digest = self._digest(algorithm, graph, self._ids_for(algorithm, ids))
@@ -798,7 +787,7 @@ class PersistentEngine(ExecutionEngine):
         jobs = list(jobs)
         results: List[Optional[Dict[Node, Hashable]]] = [None] * len(jobs)
         missing: List[int] = []
-        digests: List[str] = []
+        digests: List[Optional[str]] = []
         with trace.span("store.lookup", jobs=len(jobs)) as sp:
             for k, (graph, ids, seed) in enumerate(jobs):
                 digest = self._digest(algorithm, graph, self._ids_for(algorithm, ids), seed)

@@ -21,11 +21,12 @@
   fork, re-shipped the payload and re-sent its chunks; the batch completes
   without loss.
 * :func:`shared_local_engine` — the process-wide warm
-  :class:`~repro.engine.cached.CachedEngine` (content-keyed, see
-  ``CachedEngine(content_keyed=True)``) used for in-process execution by
-  every ``ParallelEngine``.  Because it is shared, ball collections and
-  memoised verdicts survive across the per-scenario engines a campaign
-  creates, which is where the measured quick-matrix speedup comes from.
+  :class:`~repro.engine.cached.CachedEngine` used for in-process
+  execution by every ``ParallelEngine``; its memo is keyed by algorithm
+  fingerprint, so equal-content deciders rebuilt per cell share it.
+  Because it is shared, ball collections and memoised verdicts survive
+  across the per-scenario engines a campaign creates, which is where the
+  measured quick-matrix speedup comes from.
   Because workers run ``CachedEngine``s, they use the interned-graph
   path (:mod:`repro.engine.interned`) — each worker interns a graph once
   and serves every sharded chunk of the sweep from the same ball tables.
@@ -84,13 +85,13 @@ def shared_local_engine() -> CachedEngine:
 
     Shared by every :class:`~repro.engine.parallel.ParallelEngine` (and,
     via fork inheritance, the starting state of every pool worker), so the
-    ball cache and the content-keyed memo survive across the short-lived
+    ball cache and the fingerprint-keyed memo survive across the short-lived
     per-scenario engines a campaign run creates.  Callers temporarily
     rebind ``stats`` so the work is attributed to the borrowing engine.
     """
     global _LOCAL_ENGINE
     if _LOCAL_ENGINE is None:
-        _LOCAL_ENGINE = CachedEngine(content_keyed=True)
+        _LOCAL_ENGINE = CachedEngine()
     return _LOCAL_ENGINE
 
 

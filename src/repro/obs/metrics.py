@@ -102,9 +102,9 @@ POOL_COUNTERS: Tuple[Metric, ...] = (
 # -- the persistent-store counters (historical EngineStats.extra keys) ---- #
 
 STORE_REPLAYED = Metric("store_replayed", COUNTER, "jobs", "jobs answered from the verdict store")
-STORE_COMPUTED = Metric("store_computed", COUNTER, "jobs", "jobs computed and persisted to the store")
+STORE_COMPUTED = Metric("store_computed", COUNTER, "jobs", "jobs computed, not replayed (persisted unless store_unpersistable)")
 STORE_DECODE_FAILURES = Metric("store_decode_failures", COUNTER, "jobs", "stored verdicts that failed to decode")
-STORE_UNPERSISTABLE = Metric("store_unpersistable", COUNTER, "jobs", "results that could not be encoded for the store")
+STORE_UNPERSISTABLE = Metric("store_unpersistable", COUNTER, "jobs", "computed jobs not persisted: unencodable output or no fingerprint")
 
 # -- engine-local counters ------------------------------------------------ #
 

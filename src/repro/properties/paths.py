@@ -165,20 +165,25 @@ class ForbiddenWindowDecider(IdObliviousAlgorithm):
 
     Because every contiguous factor of the path is fully visible to at least
     one node at this horizon, the decider is complete and sound for path
-    inputs; non-path inputs are rejected by the node that sees the violation
-    (a degree-3 node, or a cycle closing within the view — a cycle longer
-    than the horizon everywhere cannot be excluded locally, matching the
-    fact that "being a path" alone is not locally decidable, so the property
-    here treats long unlabelled cycles as... still rejected by the window
-    checks only when a forbidden factor occurs; the ``require_path`` flag of
-    the property is therefore only fully enforced on families that do not
-    contain long label-consistent cycles, which is the case for all families
-    shipped with this library).
+    inputs.  Non-path inputs are rejected by the node that sees the
+    violation: a degree-3 node, or a cycle closing within the view.  A cycle
+    longer than the horizon cannot be told from a path locally ("being a
+    path" alone is not locally decidable), so such a cycle is rejected only
+    when a forbidden factor or a foreign label occurs on it.  The property's
+    ``require_path`` flag is therefore fully enforced only on families
+    without long label-consistent cycles, which covers every family shipped
+    with this library.
+
+    The decider keeps the alphabet (a frozenset) and the forbidden windows
+    (a tuple) rather than the property object, so its
+    :func:`~repro.engine.persistent.algorithm_fingerprint` is exact and its
+    verdicts can be memoised and persisted.
     """
 
     def __init__(self, prop: RegularPathProperty) -> None:
         super().__init__(radius=max(prop.window, 1), name=f"{prop.name}-decider")
-        self.prop = prop
+        self.alphabet = frozenset(prop.alphabet)
+        self.forbidden = tuple(prop.forbidden)
 
     def evaluate(self, view: Neighbourhood) -> Verdict:
         # Topology: within the view every node must have degree <= 2 and the
@@ -190,12 +195,12 @@ class ForbiddenWindowDecider(IdObliviousAlgorithm):
             return NO  # a cycle closes within the view
         # Labels in alphabet.
         for v in view.nodes():
-            if view.label_of(v) not in self.prop.alphabet:
+            if view.label_of(v) not in self.alphabet:
                 return NO
         # Forbidden windows among factors through the centre.
         word = self._word_through_center(view)
         for direction in (word, list(reversed(word))):
-            for w in self.prop.forbidden:
+            for w in self.forbidden:
                 for i in range(len(direction) - len(w) + 1):
                     if tuple(direction[i : i + len(w)]) == w:
                         return NO

@@ -123,6 +123,19 @@ def test_cached_engine_memoises_isomorphic_views():
     assert cached.stats.evaluation_hits == 31
 
 
+def test_cached_engine_shares_its_memo_between_equal_content_deciders():
+    cached = CachedEngine()
+    graph = cycle_graph(16, label="x")
+    first = RegularPathProperty(["x"], [("y",)]).decider()
+    second = RegularPathProperty(["x"], [("y",)]).decider()
+    assert first is not second
+    expected = cached.run(first, graph)
+    cached.reset_stats()
+    assert cached.run(second, graph) == expected
+    assert cached.stats.evaluations == 0
+    assert cached.stats.evaluation_hits > 0
+
+
 def test_verify_decider_verdicts_identical_across_backends():
     cases = [
         (ProperColouringDecider(k=None), ProperColouringProperty(k=None)),

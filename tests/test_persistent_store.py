@@ -9,6 +9,7 @@ verdict, not the store.
 """
 
 import json
+import os
 
 import pytest
 
@@ -35,9 +36,11 @@ from repro.local_model import (
     FunctionAlgorithm,
     FunctionIdObliviousAlgorithm,
     FunctionRandomisedAlgorithm,
+    IdObliviousAlgorithm,
     run_algorithm,
     run_randomised_algorithm,
 )
+from repro.properties import RegularPathProperty
 
 # ---------------------------------------------------------------------- #
 # Shared workload: the cycles-vs-paths sweep
@@ -264,6 +267,25 @@ def test_garbage_lines_and_foreign_records_are_skipped(tmp_path):
     assert store.get("abc") == ["yes"]
 
 
+def test_append_after_truncated_tail_starts_a_fresh_line(tmp_path):
+    # A segment of this PID that a killed run left ending mid-line: the
+    # next append must not be glued onto the fragment.
+    store_dir = tmp_path / "store"
+    store_dir.mkdir()
+    segment = store_dir / f"segment-{os.getpid()}.jsonl"
+    good = json.dumps({"k": "a", "v": ["yes"]})
+    segment.write_text(good + "\n" + good[: len(good) // 2])
+    with pytest.warns(StoreCorruptionWarning):
+        store = VerdictStore(store_dir)
+    store.put("c", ["no"])
+    store.close()
+    with pytest.warns(StoreCorruptionWarning):
+        reopened = VerdictStore(store_dir)
+    assert reopened.corrupt_lines_skipped == 1
+    assert reopened.get("a") == ["yes"]
+    assert reopened.get("c") == ["no"]
+
+
 def test_store_clear_invalidates_everything(tmp_path):
     store_dir = tmp_path / "store"
     engine = CachedEngine().with_store(store_dir)
@@ -302,8 +324,10 @@ def test_fingerprint_sees_edits_inside_nested_functions():
 
     alg_a = FunctionIdObliviousAlgorithm(outer_a, radius=1, name="nested")
     alg_b = FunctionIdObliviousAlgorithm(outer_b, radius=1, name="nested")
+    assert algorithm_fingerprint(alg_a) is not None
     assert algorithm_fingerprint(alg_a) != algorithm_fingerprint(alg_b)
     # Closure-carried callables are covered too.
+    assert algorithm_fingerprint(make(lambda: 1)) is not None
     assert algorithm_fingerprint(make(lambda: 1)) != algorithm_fingerprint(make(lambda: -1))
 
 
@@ -348,11 +372,52 @@ def test_duplicate_appends_are_suppressed_after_front_eviction(tmp_path):
 def test_algorithm_fingerprint_distinguishes_code_and_parameters():
     a = _cycle_decider()
     b = _cycle_decider()
+    assert algorithm_fingerprint(a) is not None
     assert algorithm_fingerprint(a) == algorithm_fingerprint(b)
     different_code = FunctionIdObliviousAlgorithm(lambda view: YES, radius=1, name="cycle-decider")
     assert algorithm_fingerprint(a) != algorithm_fingerprint(different_code)
     different_radius = FunctionIdObliviousAlgorithm(a._fn, radius=2, name="cycle-decider")
     assert algorithm_fingerprint(a) != algorithm_fingerprint(different_radius)
+
+
+def test_deciders_differing_only_in_parameters_do_not_cross_replay(tmp_path):
+    # Same class, name and radius; only the forbidden window differs.  A
+    # store shared by both must answer each with its own verdict.
+    graph = path_graph(6, label="a")
+    no_aa = RegularPathProperty(["a", "b"], [("a", "a")]).decider()
+    no_bb = RegularPathProperty(["a", "b"], [("b", "b")]).decider()
+    assert algorithm_fingerprint(no_aa) != algorithm_fingerprint(no_bb)
+    store_dir = tmp_path / "store"
+    first = CachedEngine().with_store(store_dir).run(no_aa, graph)
+    assert NO in first.values()
+    second = CachedEngine().with_store(store_dir).run(no_bb, graph)
+    assert set(second.values()) == {YES}
+
+
+class _LabelListDecider(IdObliviousAlgorithm):
+    """Accepts nodes whose label is listed; the list gives it no exact fingerprint."""
+
+    def __init__(self, labels):
+        super().__init__(radius=1, name="label-list")
+        self.labels = list(labels)
+
+    def evaluate(self, view):
+        return YES if view.center_label() in self.labels else NO
+
+
+def test_unfingerprintable_decider_is_computed_every_run_and_never_stored(tmp_path):
+    decider = _LabelListDecider(["x"])
+    assert algorithm_fingerprint(decider) is None
+    graph = cycle_graph(8, label="x")
+    store = VerdictStore(tmp_path / "store")
+    for _ in range(2):
+        engine = PersistentEngine(store, inner=CachedEngine())
+        assert set(engine.run(decider, graph).values()) == {YES}
+        assert engine.stats.extra.get("store_replayed", 0) == 0
+        assert engine.stats.extra["store_computed"] == 1
+        assert engine.stats.extra["store_unpersistable"] == 1
+    assert store.appends == 0
+    assert len(store) == 0
 
 
 def test_job_digest_oblivious_algorithms_share_across_assignments():

@@ -21,11 +21,13 @@ from repro.campaign.scenarios import (
     scenario_names,
 )
 from repro.campaign.spec import ScenarioSpec
+from repro.engine import CachedEngine, algorithm_fingerprint
 from repro.graphs import (
     caterpillar_graph,
     disjoint_cycles,
     hypercube_graph,
     random_regular_graph,
+    sequential_assignment,
     single_edge_graph,
     single_node_graph,
 )
@@ -164,6 +166,21 @@ class TestMatrixExpansion:
                 assert cell.spec.kind == "search"
                 assert not cell.spec.expect_correct
                 assert cell.family.name in cell.construction.trap_families
+
+    def test_every_cell_decider_has_an_exact_fingerprint(self):
+        # An unfingerprinted decider is never persisted, so a cell that
+        # lost its fingerprint would silently stop replaying.  The
+        # fingerprint also lets a rebuilt cell reuse the memo.
+        engine = CachedEngine()
+        for spec in default_matrix(0).scenarios():
+            first, second = (spec.build(spec, spec.ladder(True)) for _ in range(2))
+            assert algorithm_fingerprint(first.decider) is not None, spec.name
+            graph = min(first.family.all_instances(), key=LabelledGraph.num_nodes)
+            ids = sequential_assignment(graph)
+            engine.run(first.decider, graph, ids)
+            engine.reset_stats()
+            engine.run(second.decider, graph, ids)
+            assert engine.stats.evaluations == 0, spec.name
 
     def test_paths_property_restricted_to_path_shaped_families(self):
         families = {c.family.name for c in default_matrix().cells(properties=["paths"])}
