@@ -64,35 +64,47 @@ def _jobs():
     return [(grid_graph(8, 8, label="b"), None) for _ in range(_JOBS)]
 
 
-def _timed_sweep(engine_factory, repeats=_REPEATS):
-    """Best-of-``repeats`` run_many sweep on a *fresh* engine per repeat.
+#: The three variants, timed round-robin so machine drift hits all alike.
+_VARIANTS = ("unspanned", "tracing_disabled", "tracing_enabled")
 
-    A fresh CachedEngine each time keeps every repeat computing (cold ball
-    cache and memo), so the measured seconds are dominated by the work the
+
+def _interleaved_sweeps(trace_path, repeats=_REPEATS):
+    """Time ``repeats`` run_many sweeps of every variant, interleaved.
+
+    Each round runs every variant once, starting from a different variant
+    each round, so a slow patch of the machine lands on all three rather
+    than on whichever happened to run back-to-back through it.  A fresh
+    CachedEngine per sweep keeps every repeat computing (cold ball cache
+    and memo), so the measured seconds are dominated by the work the
     spans wrap rather than by cache lookups — the regime where span
-    overhead would show if it were there.
+    overhead would show if it were there.  The enabled variant appends to
+    one trace file at ``trace_path``.
     """
     decider, jobs = _decider(), _jobs()
-    outputs, times = None, []
-    for _ in range(repeats):
-        engine = engine_factory()
-        start = time.perf_counter()
-        outputs = engine.run_many(decider, jobs)
-        times.append(time.perf_counter() - start)
-    return outputs, min(times), times
+    outputs = {}
+    times = {variant: [] for variant in _VARIANTS}
+    for round_index in range(repeats):
+        shift = round_index % len(_VARIANTS)
+        for variant in _VARIANTS[shift:] + _VARIANTS[:shift]:
+            engine = UnspannedCachedEngine() if variant == "unspanned" else CachedEngine()
+            if variant == "tracing_enabled":
+                trace.enable(trace_path)
+            try:
+                start = time.perf_counter()
+                outputs[variant] = engine.run_many(decider, jobs)
+                times[variant].append(time.perf_counter() - start)
+            finally:
+                trace.disable()
+    return outputs, times
 
 
 def test_bench_tracing_overhead(tmp_path):
     trace.disable()
-    baseline_out, t_unspanned, times_unspanned = _timed_sweep(UnspannedCachedEngine)
-    disabled_out, t_disabled, times_disabled = _timed_sweep(CachedEngine)
-
     trace_path = tmp_path / "bench-trace.jsonl"
-    trace.enable(trace_path)
-    try:
-        enabled_out, t_enabled, times_enabled = _timed_sweep(CachedEngine)
-    finally:
-        trace.disable()
+    outputs, times = _interleaved_sweeps(trace_path)
+    baseline_out, disabled_out, enabled_out = (outputs[variant] for variant in _VARIANTS)
+    times_unspanned, times_disabled, times_enabled = (times[variant] for variant in _VARIANTS)
+    t_unspanned, t_disabled, t_enabled = min(times_unspanned), min(times_disabled), min(times_enabled)
 
     # Tracing (on or off) never changes a single verdict.
     assert disabled_out == baseline_out

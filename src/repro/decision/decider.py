@@ -23,6 +23,8 @@ backends shard or replay the same batch with identical verdicts.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
@@ -67,19 +69,20 @@ class DecisionOutcome:
 
 
 def _check_outputs(outputs: Dict[Node, Hashable]) -> Dict[Node, Verdict]:
-    clean: Dict[Node, Verdict] = {}
-    for v, out in outputs.items():
-        if not isinstance(out, Verdict):
-            raise DecisionError(
-                f"decider returned {out!r} at node {v!r}; decision algorithms must return YES or NO"
-            )
-        clean[v] = out
-    return clean
+    # One type test for the whole job; the per-node loop only names the offender.
+    if not set(map(type, outputs.values())) <= {Verdict}:
+        for v, out in outputs.items():
+            if not isinstance(out, Verdict):
+                raise DecisionError(
+                    f"decider returned {out!r} at node {v!r}; decision algorithms must return YES or NO"
+                )
+    return dict(outputs)
 
 
 def _outcome_from_outputs(outputs: Dict[Node, Hashable]) -> DecisionOutcome:
     clean = _check_outputs(outputs)
-    rejecting = tuple(v for v, out in clean.items() if out == NO)
+    # Verdict members are singletons, so ``is NO`` is ``== NO`` at C speed.
+    rejecting = tuple(itertools.compress(clean, map(operator.is_, clean.values(), itertools.repeat(NO))))
     return DecisionOutcome(accepted=not rejecting, outputs=clean, rejecting_nodes=rejecting)
 
 
@@ -254,15 +257,16 @@ def assignments_for(
         adversarial = getattr(id_space, "adversarial", None)
         if include_adversarial and callable(adversarial):
             out.append(adversarial(graph))
-    # De-duplicate while keeping order.  IdAssignment hashes by its
-    # (node, identifier) pairs and nodes are hashable by construction, so the
-    # assignment itself is the dedup key; keying on repr(node) would conflate
-    # distinct nodes whose reprs happen to collide.
+    # De-duplicate while keeping order.  Every assignment above covers
+    # exactly the graph's nodes, so two are equal iff their identifiers,
+    # read in graph.nodes() order, are equal: that tuple is the dedup key.
+    nodes = graph.nodes()
     unique: List[IdAssignment] = []
     seen = set()
     for a in out:
-        if a not in seen:
-            seen.add(a)
+        key = a.identifiers(nodes)
+        if key not in seen:
+            seen.add(key)
             unique.append(a)
     return unique
 

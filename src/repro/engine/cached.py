@@ -142,9 +142,11 @@ class CachedEngine(ExecutionEngine):
             raise GraphError(f"node {missing[0]!r} is not in the graph")
         if ids is None:
             return {v: base[v] for v in chosen}
-        # Identifier views reuse the cached ball topology; only the (cheap)
-        # id restriction is per-assignment work.
-        return {v: base[v].with_ids(ids) for v in chosen}
+        # Identifier views reuse the cached ball topology.  The assignment
+        # is checked once to cover the graph; each view then restricts it
+        # to its ball without copying.
+        ids._check_covers(base)
+        return {v: base[v]._with_covering_ids(ids) for v in chosen}
 
     # ------------------------------------------------------------------ #
     # Memoised whole-graph runs

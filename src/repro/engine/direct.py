@@ -11,7 +11,9 @@ Batched jobs (:meth:`DirectEngine.run_many`, the seam ``verify_decider``
 and the campaign drivers submit through) take the interned path of
 :mod:`repro.engine.interned`: the graph is interned into integer arrays once,
 its ball table is grown once per radius, and identifier views reuse the
-shared ball topology across the whole assignment grid.  Single
+shared ball topology across the whole assignment grid.  Each job's
+assignment is checked once to cover the graph; every view then gets a
+copy-free restriction of it to its ball.  Single
 :meth:`~repro.engine.base.ExecutionEngine.run` and :meth:`DirectEngine.views`
 calls keep the per-node BFS of the definition; it is the oracle the
 interned path is tested against, with identical outputs.
@@ -62,8 +64,10 @@ class DirectEngine(ExecutionEngine):
         """Run a deterministic algorithm over many ``(graph, ids)`` jobs.
 
         Each distinct graph in the job list is interned once and its id-free
-        ball collection is shared by every assignment; per-job work shrinks
-        to restricting identifiers and evaluating the algorithm.  For an
+        ball collection is shared by every assignment.  Per job, the
+        assignment is checked once to cover every node; each view's
+        identifiers are then a copy-free restriction of it to the view's
+        ball, so per-job work is evaluating the algorithm.  For an
         Id-oblivious algorithm the outputs of two jobs on the same graph are
         *provably identical* (they are a pure function of the id-free
         views), so they are computed once per distinct graph and copied per
@@ -94,12 +98,8 @@ class DirectEngine(ExecutionEngine):
                 results.append(dict(outputs))
                 continue
             use_ids = self._ids_for(algorithm, ids)
-            outputs = {}
-            for v, view in base.items():
-                restricted = use_ids._restrict_trusted(view.distances)
-                id_view = Neighbourhood._from_trusted(
-                    view.graph, v, view.radius, view.distances, restricted, view.interned
-                )
-                outputs[v] = self.evaluate_view(algorithm, id_view)
-            results.append(outputs)
+            use_ids._check_covers(base)
+            results.append(
+                {v: self.evaluate_view(algorithm, view._with_covering_ids(use_ids)) for v, view in base.items()}
+            )
         return results

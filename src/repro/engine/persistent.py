@@ -281,7 +281,7 @@ def _graph_token(graph: LabelledGraph) -> str:
 def _ids_token(graph: LabelledGraph, ids: Optional[IdAssignment]) -> str:
     if ids is None:
         return "no-ids"
-    return repr(tuple(ids[v] for v in graph.nodes()))
+    return repr(ids.identifiers(graph.nodes()))
 
 
 def job_digest(
@@ -379,6 +379,9 @@ def _decode_outputs(graph: LabelledGraph, payload: Sequence[Any]) -> Dict[Node, 
 # The on-disk store
 # ---------------------------------------------------------------------- #
 
+#: The files a store owns: one ``segment-<pid>.jsonl`` per writing process.
+_SEGMENT_GLOB = "segment-*.jsonl"
+
 
 class VerdictStore:
     """Append-only, segment-based persistence of settled job outputs.
@@ -388,7 +391,8 @@ class VerdictStore:
     path:
         Directory holding the store (created on open).  Each writing
         process appends to its own ``segment-<pid>.jsonl`` file; every
-        ``*.jsonl`` file in the directory is loaded on open.
+        ``segment-*.jsonl`` file in the directory is loaded on open, and
+        other files (a campaign log kept alongside, say) are left alone.
     max_memory_entries:
         Capacity of the in-memory LRU front.  Entries evicted from memory
         remain on disk (their digests stay tracked, so they are never
@@ -445,7 +449,7 @@ class VerdictStore:
             )
 
     def _load_segments_inner(self) -> None:
-        for segment in sorted(self.path.glob("*.jsonl")):
+        for segment in sorted(self.path.glob(_SEGMENT_GLOB)):
             self.segments_loaded += 1
             try:
                 text = segment.read_text()
@@ -523,7 +527,7 @@ class VerdictStore:
     def clear(self) -> None:
         """Invalidate everything: delete all segments and drop the memory front."""
         self.close()
-        for segment in self.path.glob("*.jsonl"):
+        for segment in self.path.glob(_SEGMENT_GLOB):
             segment.unlink()
         self._front.clear()
         self._on_disk.clear()

@@ -51,84 +51,106 @@ class IdAssignment(Mapping[Node, int]):
 
     The assignment is immutable and validated on construction: identifiers
     must be non-negative integers and no two nodes may share one.
+
+    A *restriction* (:meth:`restrict`, and the identifiers of every view
+    an engine builds) shares its parent's map and exposes only its domain:
+    building one costs no copy, and nodes outside the domain raise
+    :class:`KeyError` like absent keys of any mapping.  The restricted map
+    is materialised only when something needs all of it at once
+    (equality, hashing, pickling, the helpers below).
     """
 
-    __slots__ = ("_map",)
+    __slots__ = ("_map", "_domain")
 
     def __init__(self, mapping: Mapping[Node, int]) -> None:
-        seen: Dict[int, Node] = {}
-        clean: Dict[Node, int] = {}
-        for v, i in mapping.items():
-            if not isinstance(i, int) or isinstance(i, bool):
-                raise IdentifierError(f"identifier of node {v!r} must be an int, got {i!r}")
-            if i < 0:
-                raise IdentifierError(f"identifier of node {v!r} must be non-negative, got {i}")
-            if i in seen:
-                raise IdentifierError(
-                    f"identifier {i} assigned to both {seen[i]!r} and {v!r}; assignments must be one-to-one"
-                )
-            seen[i] = v
-            clean[v] = i
-        self._map = clean
+        values = mapping.values()
+        if not (
+            set(map(type, values)) <= {int}
+            and len(set(values)) == len(mapping)
+            and min(values, default=0) >= 0
+        ):
+            _validate_items(mapping)
+        self._map = self._domain = dict(mapping)
+
+    def _restricted(self, domain: Mapping[Node, object]) -> "IdAssignment":
+        """Return this assignment restricted to the keys of ``domain``, without copying.
+
+        The caller guarantees that every key of ``domain`` has an
+        identifier (see :meth:`_check_covers`); a sub-map of a one-to-one
+        map is one-to-one, so nothing is re-validated.  ``domain`` is
+        adopted as is and must not be mutated afterwards.
+        """
+        sub = IdAssignment.__new__(IdAssignment)
+        sub._map = self._map
+        sub._domain = domain
+        return sub
+
+    def _check_covers(self, nodes: Mapping[Node, object]) -> None:
+        """Raise :class:`IdentifierError` unless every key of ``nodes`` has an identifier."""
+        if not self._domain.keys() >= nodes.keys():
+            missing = [v for v in nodes if v not in self._domain]
+            raise IdentifierError(f"identifier assignment misses nodes {missing[:5]!r}")
+
+    def _dict(self) -> Dict[Node, int]:
+        """The assignment as a plain dict, materialising a restriction once."""
+        if self._domain is not self._map:
+            domain = self._domain
+            self._map = self._domain = dict(zip(domain, map(self._map.__getitem__, domain)))
+        return self._map
 
     # Mapping interface -------------------------------------------------- #
 
     def __getitem__(self, v: Node) -> int:
-        return self._map[v]
+        if v in self._domain:
+            return self._map[v]
+        raise KeyError(v)
+
+    def __contains__(self, v: object) -> bool:
+        return v in self._domain
 
     def __iter__(self) -> Iterator[Node]:
-        return iter(self._map)
+        return iter(self._domain)
 
     def __len__(self) -> int:
-        return len(self._map)
+        return len(self._domain)
 
     def __repr__(self) -> str:
-        preview = dict(itertools.islice(self._map.items(), 4))
-        suffix = "..." if len(self._map) > 4 else ""
+        items = self._dict()
+        preview = dict(itertools.islice(items.items(), 4))
+        suffix = "..." if len(items) > 4 else ""
         return f"IdAssignment({preview}{suffix})"
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IdAssignment):
-            return self._map == other._map
+            return self._dict() == other._dict()
         if isinstance(other, Mapping):
-            return dict(self._map) == dict(other)
+            return self._dict() == dict(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._map.items()))
+        return hash(frozenset(self._dict().items()))
+
+    def __reduce__(self):
+        return (IdAssignment, (self._dict(),))
 
     # Extra helpers ------------------------------------------------------ #
 
-    def identifiers(self) -> Tuple[int, ...]:
-        """Return all identifiers in node-insertion order."""
-        return tuple(self._map.values())
+    def identifiers(self, nodes: Optional[Iterable[Node]] = None) -> Tuple[int, ...]:
+        """Return all identifiers in node-insertion order, or those of ``nodes`` in their order."""
+        items = self._dict()
+        return tuple(items.values() if nodes is None else map(items.__getitem__, nodes))
 
     def max_identifier(self) -> int:
         """Return the largest identifier, or -1 for the empty assignment."""
-        return max(self._map.values(), default=-1)
+        return max(self._dict().values(), default=-1)
 
     def restrict(self, nodes: Iterable[Node]) -> "IdAssignment":
-        """Return the assignment restricted to the given nodes."""
+        """Return the assignment restricted to the given nodes, in this assignment's node order."""
         keep = set(nodes)
-        missing = keep - set(self._map)
+        missing = keep - self._domain.keys()
         if missing:
             raise IdentifierError(f"cannot restrict: nodes {sorted(map(repr, missing))[:5]} have no identifier")
-        return IdAssignment({v: i for v, i in self._map.items() if v in keep})
-
-    def _restrict_trusted(self, nodes: Iterable[Node]) -> "IdAssignment":
-        """Restrict to ``nodes`` without re-validating injectivity.
-
-        Internal fast path for the interned core: a sub-map of an
-        injective map is injective, so only membership can fail (reported
-        as :class:`IdentifierError`, matching :meth:`restrict`).
-        """
-        try:
-            sub = {v: self._map[v] for v in nodes}
-        except KeyError as exc:
-            raise IdentifierError(f"cannot restrict: node {exc.args[0]!r} has no identifier") from exc
-        restricted = IdAssignment.__new__(IdAssignment)
-        restricted._map = sub
-        return restricted
+        return self._restricted(dict.fromkeys(v for v in self._domain if v in keep))
 
     def renamed(self, renaming: Mapping[int, int]) -> "IdAssignment":
         """Return a new assignment with identifiers substituted via ``renaming``.
@@ -136,23 +158,46 @@ class IdAssignment(Mapping[Node, int]):
         Identifiers missing from ``renaming`` are kept as-is.  The result is
         validated (injectivity is re-checked).
         """
-        return IdAssignment({v: renaming.get(i, i) for v, i in self._map.items()})
+        return IdAssignment({v: renaming.get(i, i) for v, i in self._dict().items()})
 
     def shifted(self, offset: int) -> "IdAssignment":
         """Return a copy with every identifier increased by ``offset``."""
-        if offset < 0 and -offset > min(self._map.values(), default=0):
+        items = self._dict()
+        if offset < 0 and -offset > min(items.values(), default=0):
             raise IdentifierError("shift would make an identifier negative")
-        return IdAssignment({v: i + offset for v, i in self._map.items()})
+        return IdAssignment({v: i + offset for v, i in items.items()})
 
     def respects_bound(self, bound: int) -> bool:
         """Return ``True`` when every identifier is strictly less than ``bound``."""
-        return all(i < bound for i in self._map.values())
+        return all(i < bound for i in self._dict().values())
 
     def node_with_max_identifier(self) -> Node:
         """Return the node carrying the largest identifier."""
-        if not self._map:
+        items = self._dict()
+        if not items:
             raise IdentifierError("empty assignment has no maximum")
-        return max(self._map, key=self._map.__getitem__)
+        return max(items, key=items.__getitem__)
+
+
+def _validate_items(mapping: Mapping[Node, int]) -> None:
+    """Validate ``mapping`` item by item, raising on the first offending identifier.
+
+    The slow path behind :class:`IdAssignment`'s whole-map check: it raises
+    the precise error for the first bad item, and lets through what the
+    whole-map check is too strict for (``int`` subclasses other than
+    ``bool``).
+    """
+    seen: Dict[int, Node] = {}
+    for v, i in mapping.items():
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise IdentifierError(f"identifier of node {v!r} must be an int, got {i!r}")
+        if i < 0:
+            raise IdentifierError(f"identifier of node {v!r} must be non-negative, got {i}")
+        if i in seen:
+            raise IdentifierError(
+                f"identifier {i} assigned to both {seen[i]!r} and {v!r}; assignments must be one-to-one"
+            )
+        seen[i] = v
 
 
 # ---------------------------------------------------------------------- #

@@ -188,10 +188,22 @@ class Neighbourhood:
         )
 
     def with_ids(self, ids: IdAssignment) -> "Neighbourhood":
-        """Return the same view with identifiers (re)attached."""
-        view = Neighbourhood(self.graph, self.center, self.radius, self.distances, ids=ids)
-        view.interned = self.interned
-        return view
+        """Return the same view with identifiers (re)attached, restricted to the ball.
+
+        Raises :class:`IdentifierError` when ``ids`` misses a ball node.
+        """
+        ids._check_covers(self.distances)
+        return self._with_covering_ids(ids)
+
+    def _with_covering_ids(self, ids: IdAssignment) -> "Neighbourhood":
+        """:meth:`with_ids` for an assignment the caller has already checked covers the ball.
+
+        The engines check coverage once per job, for the whole graph, and
+        then attach identifiers to every view through this method.
+        """
+        return Neighbourhood._from_trusted(
+            self.graph, self.center, self.radius, self.distances, ids._restricted(self.distances), self.interned
+        )
 
     def __repr__(self) -> str:
         return (

@@ -209,19 +209,44 @@ class TuringMachine:
         """
         if fuel < 0:
             raise TuringMachineError(f"fuel must be non-negative, got {fuel}")
+        if not keep_history:
+            return self._run_in_place(fuel)
         config = self.initial_configuration()
         history: List[Configuration] = [config]
         steps = 0
         while steps < fuel and not self.is_halting(config):
             config = self.step(config)
             steps += 1
-            if keep_history:
-                history.append(config)
+            history.append(config)
         halted = self.is_halting(config)
         output = config.symbol_at(config.head) if halted else None
-        if not keep_history:
-            history = [config]
         return RunResult(halted=halted, steps=steps, output=output, final=config, history=tuple(history))
+
+    def _run_in_place(self, fuel: int) -> RunResult:
+        """:meth:`run` without history: one mutable tape, stepped in place.
+
+        :meth:`step` copies the whole tape per step, which makes long runs
+        quadratic; this loop applies the same transitions to one list, so
+        the result equals the step-by-step run's in every field.
+        """
+        transitions, halt = self.transitions, self.halt_state
+        tape = [BLANK]
+        head, state, steps = 0, self.start_state, 0
+        while steps < fuel and state != halt:
+            tr = transitions[(state, tape[head])]
+            tape[head] = tr.write
+            state = tr.new_state
+            if tr.move is Move.LEFT:
+                head = max(head - 1, 0)
+            elif tr.move is Move.RIGHT:
+                head += 1
+                if head == len(tape):
+                    tape.append(BLANK)
+            steps += 1
+        final = Configuration(tape=tuple(tape), head=head, state=state)
+        halted = state == halt
+        output = tape[head] if halted else None
+        return RunResult(halted=halted, steps=steps, output=output, final=final, history=(final,))
 
     def halts_within(self, fuel: int) -> bool:
         """Return ``True`` when the machine halts within ``fuel`` steps from a blank tape."""

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from repro.campaign import (
     write_report,
 )
 from repro.campaign.cli import main as campaign_main
-from repro.engine import ParallelEngine
+from repro.engine import ParallelEngine, StoreCorruptionWarning, VerdictStore
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -333,6 +334,26 @@ def test_campaign_store_replays_second_run(tmp_path):
         assert c.observed_correct == w.observed_correct
         assert c.sweeps == w.sweeps
         assert w.engine == "persistent"
+
+
+def test_campaign_log_inside_the_store_directory_is_not_a_segment(tmp_path):
+    # The store owns only its segment-*.jsonl files: a campaign log kept
+    # in the same directory must not be parsed (one corruption warning per
+    # log line) nor deleted by clear().
+    store = tmp_path / "verdicts"
+    log = store / "log.jsonl"
+    cold = run_campaign(SMOKE, engine="cached", quick=True, name="cold", store=store, log_path=log)
+    logged = log.read_text()
+    assert cold.ok and logged.count("\n") >= len(SMOKE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", StoreCorruptionWarning)
+        opened = VerdictStore(store)
+        warm = run_campaign(SMOKE, engine="cached", quick=True, name="warm", store=store, log_path=log)
+    assert opened.corrupt_lines_skipped == 0 and opened.segments_loaded == 1
+    assert warm.ok
+    opened.clear()
+    assert log.read_text() == logged
+    assert len(VerdictStore(store)) == 0
 
 
 def test_scenario_spec_digest_stability_and_sensitivity():

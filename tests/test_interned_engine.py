@@ -11,18 +11,31 @@ store digests — across random graphs (hypothesis), all 12 bundled
 workload graph families, and parallel worker counts 1/2/4.
 """
 
+import hashlib
 import json
+import pickle
+import random
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from repro.decision import FunctionProperty, InstanceFamily, verify_decider
+from repro.decision import FunctionProperty, InstanceFamily, assignments_for, verify_decider
 from repro.engine import CachedEngine, DirectEngine, ParallelEngine
 from repro.engine.interned import intern_graph, interned_id_free_views, interned_view_key
-from repro.errors import GraphError
-from repro.graphs import LabelledGraph, cycle_graph, random_graph, sequential_assignment
+from repro.errors import GraphError, IdentifierError
+from repro.graphs import (
+    BoundedIdentifierSpace,
+    IdAssignment,
+    LabelledGraph,
+    UnboundedIdentifierSpace,
+    cycle_graph,
+    path_graph,
+    random_assignment,
+    random_graph,
+    sequential_assignment,
+)
 from repro.graphs.neighbourhood import extract_neighbourhood
-from repro.local_model import NO, YES, FunctionAlgorithm, FunctionIdObliviousAlgorithm
+from repro.local_model import NO, YES, FunctionAlgorithm, FunctionIdObliviousAlgorithm, LocalAlgorithm
 from repro.workloads.families import bundled_families
 
 
@@ -228,3 +241,138 @@ def test_run_many_id_aware_matches_dict_path():
     )
     jobs = [(g, ids_a), (g, ids_b)]
     assert DirectEngine().run_many(algorithm, jobs) == DictDirectEngine().run_many(algorithm, jobs)
+
+
+# ---------------------------------------------------------------------- #
+# The id sweep: lazy restrictions, coverage checks, validation, assignments
+# ---------------------------------------------------------------------- #
+
+
+class _ViewRecorder(LocalAlgorithm):
+    """An id-using radius-``r`` algorithm that keeps every view it is shown."""
+
+    def __init__(self, radius):
+        super().__init__(radius=radius, name=f"recorder-{radius}")
+        self.views = []
+
+    def evaluate(self, view):
+        self.views.append(view)
+        return YES
+
+
+def _assert_same_restriction(view, ids):
+    """``view.ids`` behaves exactly like the eager ``ids.restrict(ball nodes)``.
+
+    Equality, hashing and pickling materialise a restriction, so each is
+    checked on one that nothing has materialised yet.
+    """
+    expected = ids.restrict(view.nodes())
+
+    def fresh():
+        return view.with_ids(ids).ids
+
+    assert pickle.loads(pickle.dumps(view.ids)) == expected
+    assert fresh() == expected and expected == fresh()
+    assert hash(fresh()) == hash(expected)
+    got = fresh()
+    assert len(got) == len(expected) == len(view.nodes())
+    assert sorted(got.items(), key=repr) == sorted(expected.items(), key=repr)
+
+
+@pytest.mark.parametrize("family", bundled_families(), ids=lambda f: f.name)
+def test_lazily_restricted_view_ids_equal_eager_restriction(family):
+    rng = random.Random(family.name)
+    for graph in _family_instances(family):
+        for radius in (1, 2):
+            ids = random_assignment(graph, rng=rng)
+            recorder = _ViewRecorder(radius)
+            DirectEngine().run_many(recorder, [(graph, ids)])
+            cached = CachedEngine().views(graph, radius, ids)
+            assert len(recorder.views) == len(cached) == graph.num_nodes()
+            for view in recorder.views + list(cached.values()):
+                _assert_same_restriction(view, ids)
+                outside = [v for v in graph.nodes() if v not in view.distances]
+                for v in outside[:2]:
+                    assert v not in view.ids
+                    with pytest.raises(KeyError):
+                        view.ids[v]
+
+
+def test_assignment_missing_a_node_is_rejected_before_evaluation():
+    g = cycle_graph(6, label="gap")
+    partial = IdAssignment({v: i for i, v in enumerate(g.nodes()) if v != 3})
+    recorder = _ViewRecorder(1)
+    with pytest.raises(IdentifierError):
+        DirectEngine().run_many(recorder, [(g, sequential_assignment(g)), (g, partial)])
+    assert len(recorder.views) == g.num_nodes()  # the first job ran, the second not at all
+    with pytest.raises(IdentifierError):
+        CachedEngine().views(g, 1, partial)
+    with pytest.raises(IdentifierError):
+        interned_id_free_views(g, 1)[2].with_ids(partial)  # ball {1, 2, 3}
+    assert interned_id_free_views(g, 1)[0].with_ids(partial).ids == {5: 5, 0: 0, 1: 1}
+
+
+def _seed_validation(mapping):
+    """The per-item validation loop IdAssignment used before its whole-map check."""
+    seen = {}
+    for v, i in mapping.items():
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise IdentifierError(f"identifier of node {v!r} must be an int, got {i!r}")
+        if i < 0:
+            raise IdentifierError(f"identifier of node {v!r} must be non-negative, got {i}")
+        if i in seen:
+            raise IdentifierError(
+                f"identifier {i} assigned to both {seen[i]!r} and {v!r}; assignments must be one-to-one"
+            )
+        seen[i] = v
+    return dict(mapping)
+
+
+class _IntSubclass(int):
+    pass
+
+
+_identifier_values = st.one_of(
+    st.integers(min_value=-3, max_value=12),
+    st.booleans(),
+    st.integers(min_value=0, max_value=12).map(_IntSubclass),
+    st.sampled_from([1.0, "1", None, 2**70, -(2**70)]),
+)
+
+
+@given(st.dictionaries(st.integers(min_value=0, max_value=20), _identifier_values, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_id_assignment_accepts_and_rejects_like_the_item_loop(mapping):
+    try:
+        expected = _seed_validation(mapping)
+    except IdentifierError as exc:
+        with pytest.raises(IdentifierError) as caught:
+            IdAssignment(mapping)
+        assert str(caught.value) == str(exc)
+    else:
+        ids = IdAssignment(mapping)
+        assert ids == expected and list(ids.items()) == list(expected.items())
+
+
+#: sha256 of every assignment ``assignments_for`` produces for the fixed
+#: graphs, spaces and seeds of :func:`_assignments_digest`, as recorded when
+#: duplicates were keyed by the whole assignment: keying them by identifier
+#: tuple must change neither the draws nor which duplicates are dropped.
+_ASSIGNMENTS_DIGEST = "cdb8f064874c48f57989ef5ee5d8683475631a8f5a914edc1a99b626446d425e"
+
+
+def _assignments_digest():
+    digest = hashlib.sha256()
+    graphs = [family.build(size, 7) for family in bundled_families() for size in family.ladder(quick=True)[:2]]
+    for graph in graphs:
+        for space in (UnboundedIdentifierSpace(), BoundedIdentifierSpace()):
+            for seed in (0, 1, 5):
+                for a in assignments_for(graph, id_space=space, samples=4, seed=seed):
+                    digest.update(repr(list(a.items())).encode())
+    for a in assignments_for(path_graph(3), exhaustive_pool=range(4)):
+        digest.update(repr(list(a.items())).encode())
+    return digest.hexdigest()
+
+
+def test_assignments_for_output_is_unchanged_for_fixed_seeds():
+    assert _assignments_digest() == _ASSIGNMENTS_DIGEST

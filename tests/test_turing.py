@@ -14,6 +14,7 @@ from repro.turing import (
     consistent_cell,
     halting_machine,
     looping_machine,
+    machines_outputting,
     row_successors,
     standard_library,
     walker_machine,
@@ -50,6 +51,35 @@ def test_binary_counter_scaling():
     t2 = binary_counter_machine(2).running_time(10_000)
     t3 = binary_counter_machine(3).running_time(10_000)
     assert t3 > 2 * t2  # super-linear growth in the number of bits
+
+
+def _step_by_step(machine, fuel):
+    """The reference run: apply :meth:`TuringMachine.step` until halt or fuel."""
+    config, steps = machine.initial_configuration(), 0
+    while steps < fuel and not machine.is_halting(config):
+        config = machine.step(config)
+        steps += 1
+    halted = machine.is_halting(config)
+    return halted, steps, config.symbol_at(config.head) if halted else None, config
+
+
+def _library_machines():
+    return standard_library() + machines_outputting("0") + machines_outputting("1") + [
+        walker_machine(7, "1"),
+        zigzag_machine(3, 3, "0"),
+        binary_counter_machine(2),
+        binary_counter_machine(3, "1"),
+    ]
+
+
+@pytest.mark.parametrize("fuel", [0, 1, 2, 7, 40, 500])
+def test_run_without_history_matches_step_by_step(fuel):
+    for machine in _library_machines():
+        fast = machine.run(fuel, keep_history=False)
+        assert (fast.halted, fast.steps, fast.output, fast.final) == _step_by_step(machine, fuel)
+        assert fast.history == (fast.final,)
+        full = machine.run(fuel)
+        assert (full.halted, full.steps, full.output, full.final) == _step_by_step(machine, fuel)
 
 
 def test_encode_decode_roundtrip():
