@@ -12,10 +12,14 @@ emits ``BENCH_obs.json`` so CI gates the two throughput ratios:
   least 95% of unspanned throughput;
 * ``throughput_ratio_enabled`` >= 0.80 — a live trace costs at most 20%.
 
-Verdicts are asserted byte-identical across all three variants.
+Each ratio compares the medians of 21 interleaved rounds: the variants
+differ by about a dozen no-op spans per sweep, a gap the min of a handful
+of ~25 ms rounds cannot resolve from machine noise.  Verdicts are
+asserted byte-identical across all three variants.
 """
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -31,7 +35,7 @@ BENCH_JSON = Path(__file__).resolve().parent / "BENCH_obs.json"
 DISABLED_FLOOR = 0.95
 ENABLED_FLOOR = 0.80
 
-_REPEATS = 5
+_REPEATS = 21
 _JOBS = 12
 
 
@@ -104,7 +108,9 @@ def test_bench_tracing_overhead(tmp_path):
     outputs, times = _interleaved_sweeps(trace_path)
     baseline_out, disabled_out, enabled_out = (outputs[variant] for variant in _VARIANTS)
     times_unspanned, times_disabled, times_enabled = (times[variant] for variant in _VARIANTS)
-    t_unspanned, t_disabled, t_enabled = min(times_unspanned), min(times_disabled), min(times_enabled)
+    t_unspanned, t_disabled, t_enabled = (
+        statistics.median(times_unspanned), statistics.median(times_disabled), statistics.median(times_enabled)
+    )
 
     # Tracing (on or off) never changes a single verdict.
     assert disabled_out == baseline_out
@@ -122,6 +128,7 @@ def test_bench_tracing_overhead(tmp_path):
         "workload": f"run_many sweep: {_JOBS} grid graphs, fresh CachedEngine per repeat",
         "jobs": _JOBS,
         "repeats": _REPEATS,
+        "statistic": "median",
         "spans_recorded": stats["spans"],
         "seconds": {
             "unspanned": round(t_unspanned, 6),

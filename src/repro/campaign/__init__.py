@@ -20,8 +20,10 @@ execution engine — and runs whole grids in one go:
   (:class:`~repro.engine.persistent.VerdictStore`) attached, settled jobs
   replay from disk across runs, and :func:`resume_campaign` merges into an
   existing report re-running only missing/stale scenarios;
-* :mod:`repro.campaign.cli` — the ``python -m repro.campaign`` command
-  (``--store``, ``--resume``, ``--min-replayed``).
+* :mod:`repro.campaign.cli` — the ``python -m repro.campaign`` command and
+  the sweep options and run/report/gate path it shares with
+  ``python -m repro.workloads --run`` (``--store``, ``--resume``,
+  ``--min-replayed``, ...).
 """
 
 from .runner import (

@@ -87,10 +87,11 @@ __all__ = [
 def install_matrix(seed: int = 0, **filters) -> int:
     """Register the matrix cells next to the bundled campaign scenarios.
 
-    After this, ``python -m repro.campaign`` (with ``--workloads``) and
-    :func:`repro.campaign.scenarios.get_scenario` resolve matrix cells by
-    name exactly like hand-written scenarios.  Returns the number of cells
-    registered.
+    After this, :func:`repro.campaign.scenarios.get_scenario` (and with it
+    ``python -m repro.adversary --workloads``) resolves matrix cells by
+    name exactly like hand-written scenarios; ``python -m repro.workloads
+    --run`` runs cells without registering them.  Returns the number of
+    cells registered.
     """
     from ..campaign.scenarios import register_scenarios
 

@@ -51,7 +51,9 @@ Resume a previous matrix report, re-running only missing/stale cells::
         --resume benchmarks/BENCH_workload_matrix.json --store /tmp/verdicts
 
 The process exits non-zero when any cell misbehaves, so CI gates on matrix
-sweeps directly (exactly like ``python -m repro.campaign``).
+sweeps directly.  ``--run`` shares its sweep options and its
+run/report/gate sequence with ``python -m repro.campaign``
+(:func:`repro.campaign.cli.run_sweep`).
 """
 
 from __future__ import annotations
@@ -59,12 +61,10 @@ from __future__ import annotations
 import argparse
 import itertools
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..analysis.reporting import format_table
-from ..campaign.runner import replay_summary, resume_campaign, run_campaign, write_report
-from ..campaign.spec import ScenarioSpec
-from ..obs import trace
+from ..campaign.cli import add_sweep_options, in_range, run_sweep
 from .axes import bundled_properties, bundled_regimes, property_names, regime_names
 from .families import bundled_families, family_names
 from .matrix import WorkloadMatrix, expand_json, expand_ndjson
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--size-scale",
         action="append",
-        type=int,
+        type=in_range(int, 1),
         default=None,
         metavar="S",
         help="variant axis: multiply every family's size ladder by S (repeatable; default: 1)",
@@ -176,21 +176,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--sample-count",
         action="append",
-        type=int,
+        type=in_range(int, 1),
         default=None,
         metavar="K",
         help="variant axis: identifier assignments sampled per instance (repeatable; default: 3)",
     )
     parser.add_argument(
         "--replicas",
-        type=int,
+        type=in_range(int, 1),
         default=1,
         metavar="R",
         help="variant axis: seed replicas per cell (default: 1)",
     )
     parser.add_argument(
         "--max-cells",
-        type=int,
+        type=in_range(int, 0),
         default=None,
         metavar="N",
         help="hard cap on the number of cells listed/expanded/run (streaming prefix)",
@@ -231,64 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
         "computed plan is saved there — pins one selection across re-invocations",
     )
     parser.add_argument(
-        "--engine",
-        default=None,
-        choices=["direct", "synchronous", "cached", "parallel"],
-        help="execution backend override (default: each cell's declared backend)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the parallel backend (implies --engine parallel)",
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="quick ladders and reduced search budgets"
-    )
-    parser.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="persistent verdict store directory shared by every cell of the sweep",
-    )
-    parser.add_argument(
         "--log",
         default=None,
         metavar="PATH",
         help="append-only JSONL result log: each completed cell is written immediately, "
         "and a re-invocation reuses logged results (crash-tolerant sweeps)",
     )
-    parser.add_argument(
-        "--resume",
-        default=None,
-        metavar="REPORT",
-        help="merge into an existing matrix report, re-running only missing/stale cells",
-    )
-    parser.add_argument(
-        "--min-replayed",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="fail unless at least this fraction of jobs was replayed from the store "
-        "(requires --store); used by CI to prove warm matrix sweeps",
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help=f"where to write the JSON report (default: {DEFAULT_MATRIX_REPORT})",
-    )
-    parser.add_argument(
-        "--no-report", action="store_true", help="skip writing the JSON report file"
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="with --run: write a structured JSONL span trace of the sweep to "
-        "PATH (inspect it with `python -m repro.obs report PATH`)",
-    )
+    add_sweep_options(parser, DEFAULT_MATRIX_REPORT)
     return parser
 
 
@@ -375,10 +324,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.properties:
         print(_list_properties())
         return 0
-    if args.min_replayed is not None and args.store is None:
-        parser.error("--min-replayed requires --store")
-    if args.workers is not None and args.engine is not None and args.engine != "parallel":
-        parser.error("--workers requires the parallel backend (drop --engine or use --engine parallel)")
     if args.importance_from is not None and args.sample is None:
         parser.error("--importance-from requires --sample BUDGET")
     if args.sample is not None and not args.run:
@@ -402,9 +347,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         total = matrix.count_cells(**named)
     except KeyError as exc:
         parser.error(str(exc))
-    shown = total if args.max_cells is None else min(total, args.max_cells)
     if args.list and args.count_only:
-        print(shown)
+        print(total if args.max_cells is None else min(total, args.max_cells))
         return 0
     if args.list or args.expand:
         cell_stream = matrix.iter_cells(**named)
@@ -430,81 +374,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("nothing to do: pass --list, --expand, --families, --properties or --run")
     if total == 0:
         parser.error("the filters admit no cells; see --list")
-    specs: Iterator[ScenarioSpec]
-    expected = shown
     if args.sample is not None:
         try:
             plan = _resolve_plan(args, matrix, filters)
         except (FileNotFoundError, ValueError) as exc:
             parser.error(str(exc))
         specs = plan.iter_specs(matrix)
-        expected = len(plan.selected)
     else:
         specs = matrix.iter_scenarios(**named)
     if args.max_cells is not None:
         specs = itertools.islice(specs, args.max_cells)
-        expected = min(expected, args.max_cells)
-    if args.resume is not None and not Path(args.resume).exists():
-        parser.error(f"--resume report {args.resume} does not exist")
-    if args.trace is not None:
-        trace.enable(args.trace)
-    try:
-        if args.resume is not None:
-            resume_path = Path(args.resume)
-            report, reused = resume_campaign(
-                resume_path,
-                scenarios=specs,
-                engine=args.engine,
-                workers=args.workers,
-                quick=True if args.quick else None,
-                store=args.store,
-                log_path=args.log,
-            )
-            print(
-                f"resumed from {resume_path}: {reused} cell(s) reused, {expected - reused} re-run"
-            )
-        else:
-            report = run_campaign(
-                specs,
-                engine=args.engine,
-                workers=args.workers,
-                quick=args.quick,
-                name=f"workload-matrix(seed={args.seed})",
-                store=args.store,
-                log_path=args.log,
-            )
-        print(report.summary_table())
-        parallel_totals = report.parallel_stats()
-        if parallel_totals.get("parallel_batches"):
-            print(
-                "parallel: {parallel_batches} batch(es), {parallel_chunks} chunk(s), "
-                "{parallel_forks} fork(s), {payload_ships} payload ship(s) "
-                "({payload_ship_bytes} bytes), {coalesced_batches} coalesced".format(**parallel_totals)
-            )
-        if not args.no_report:
-            default = Path(args.resume) if args.resume is not None else DEFAULT_MATRIX_REPORT
-            path = write_report(report, args.output if args.output is not None else default)
-            print(f"report written to {path}")
-        ok = report.ok
-        if args.min_replayed is not None:
-            replayed, total_jobs, fraction, resumed = replay_summary(report)
-            print(
-                f"store replay: {replayed}/{total_jobs} jobs "
-                f"({fraction:.1%}, floor {args.min_replayed:.1%}"
-                + (f"; {resumed} resumed cell(s) excluded)" if resumed else ")")
-            )
-            if fraction < args.min_replayed:
-                print(
-                    f"FAIL: only {fraction:.1%} of jobs replayed from the store "
-                    f"(floor {args.min_replayed:.1%})"
-                )
-                ok = False
-        print(f"workload matrix {'OK' if ok else 'FAILED'}")
-        return 0 if ok else 1
-    finally:
-        if args.trace is not None:
-            trace.disable()
-            print(f"trace written to {args.trace}")
+    return run_sweep(parser, args, specs, quick=args.quick or None, label="workload matrix",
+                     name=f"workload-matrix(seed={args.seed})", log_path=args.log)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m

@@ -20,10 +20,24 @@ from repro.campaign import (
 )
 from repro.campaign.cli import main as campaign_main
 from repro.engine import ParallelEngine, StoreCorruptionWarning, VerdictStore
+from repro.obs.report import load_trace
+from repro.workloads.cli import main as workloads_main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 SMOKE = ["classic-cycles-vs-paths", "sec2-promise-cycles"]
+
+#: Both sweep front ends, each with a small quick sweep selecting a few scenarios.
+SWEEP_CLIS = {
+    "campaign": (campaign_main, ["classic-cycles-vs-paths", "--quick"]),
+    "workloads": (workloads_main, ["--run", "--quick", "--family", "cycle", "--property", "colouring"]),
+}
+
+
+@pytest.fixture(params=sorted(SWEEP_CLIS))
+def sweep_cli(request):
+    """``(main, args)`` of one sweep CLI: the shared options must behave alike on both."""
+    return SWEEP_CLIS[request.param]
 
 
 def _parallel():
@@ -160,9 +174,52 @@ def test_cli_rejects_unknown_scenario():
         campaign_main(["definitely-not-a-scenario", "--no-report"])
 
 
-def test_cli_rejects_workers_with_non_parallel_engine():
-    with pytest.raises(SystemExit):
-        campaign_main(["classic-colouring", "--engine", "cached", "--workers", "2", "--no-report"])
+def test_cli_rejects_workers_with_non_parallel_engine(sweep_cli):
+    main, args = sweep_cli
+    with pytest.raises(SystemExit) as excinfo:
+        main([*args, "--engine", "cached", "--workers", "2", "--no-report"])
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--workers", "0"],
+        ["--workers", "-3"],
+        ["--min-replayed", "-1", "--store", "unused-store"],
+        ["--min-replayed", "90", "--store", "unused-store"],
+        ["--min-replayed", "nan", "--store", "unused-store"],
+    ],
+    ids=lambda bad: f"{bad[0].lstrip('-')}={bad[1]}",
+)
+def test_cli_rejects_out_of_range_values_at_parse_time(sweep_cli, bad, capsys):
+    main, args = sweep_cli
+    with pytest.raises(SystemExit) as excinfo:
+        main([*args, *bad, "--no-report"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument {bad[0]}" in err
+
+
+@pytest.mark.parametrize(
+    "bad", [["--max-cells", "-1"], ["--replicas", "0"], ["--size-scale", "0"], ["--sample-count", "0"]],
+    ids=lambda bad: f"{bad[0].lstrip('-')}={bad[1]}",
+)
+def test_workloads_cli_rejects_out_of_range_axes(bad, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        workloads_main(["--list", "--count-only", *bad])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument {bad[0]}" in err
+
+
+def test_cli_trace_writes_readable_spans(sweep_cli, tmp_path, capsys):
+    main, args = sweep_cli
+    path = tmp_path / "sweep-trace.jsonl"
+    assert main([*args, "--trace", str(path), "--no-report"]) == 0
+    assert f"trace written to {path}" in capsys.readouterr().out
+    spans = load_trace(str(path))
+    assert any(span["kind"] == "campaign.run" for span in spans)
 
 
 def test_cli_workers_alone_implies_parallel_engine(capsys):
@@ -396,34 +453,34 @@ def test_resume_preserves_unrequested_history(tmp_path):
     assert {r.name for r in merged.results} == set(SMOKE)
 
 
-def test_cli_store_and_min_replayed_gate(tmp_path, capsys):
+def test_cli_store_and_min_replayed_gate(sweep_cli, tmp_path, capsys):
+    main, args = sweep_cli
     store = str(tmp_path / "verdicts")
     out1 = str(tmp_path / "r1.json")
     out2 = str(tmp_path / "r2.json")
     # Cold run cannot meet a replay floor...
-    code = campaign_main(
-        ["classic-cycles-vs-paths", "--quick", "--store", store, "--min-replayed", "0.9", "--output", out1]
-    )
+    code = main([*args, "--store", store, "--min-replayed", "0.9", "--output", out1])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
     # ...the warm run replays everything and passes it.
-    code = campaign_main(
-        ["classic-cycles-vs-paths", "--quick", "--store", store, "--min-replayed", "0.9", "--output", out2]
-    )
+    code = main([*args, "--store", store, "--min-replayed", "0.9", "--output", out2])
     out = capsys.readouterr().out
     assert code == 0
-    assert "store replay:" in out and "campaign OK" in out
+    assert "store replay:" in out and "OK" in out.splitlines()[-1]
     # Verdicts of the two runs are identical.
     s1 = json.loads(Path(out1).read_text())["scenarios"]
     s2 = json.loads(Path(out2).read_text())["scenarios"]
+    assert [s["name"] for s in s1] == [s["name"] for s in s2]
     for a, b in zip(s1, s2):
         assert a["observed_correct"] == b["observed_correct"]
         assert a["sweeps"] == b["sweeps"]
 
 
-def test_cli_min_replayed_requires_store():
-    with pytest.raises(SystemExit):
-        campaign_main(["classic-cycles-vs-paths", "--min-replayed", "0.5", "--no-report"])
+def test_cli_min_replayed_requires_store(sweep_cli):
+    main, args = sweep_cli
+    with pytest.raises(SystemExit) as excinfo:
+        main([*args, "--min-replayed", "0.5", "--no-report"])
+    assert excinfo.value.code == 2
 
 
 def test_cli_min_replayed_ignores_resumed_scenarios(tmp_path, capsys):
@@ -442,14 +499,20 @@ def test_cli_min_replayed_ignores_resumed_scenarios(tmp_path, capsys):
     assert "resumed scenario(s) excluded" in out
 
 
-def test_cli_resume_writes_back_to_resume_path(tmp_path, capsys):
+def test_cli_resume_writes_back_to_resume_path(sweep_cli, tmp_path, capsys):
+    main, args = sweep_cli
     report_path = tmp_path / "report.json"
-    report = run_campaign(SMOKE, engine="cached", quick=True, name="cli-resume")
-    write_report(report, report_path, now=1)
-    code = campaign_main(["--resume", str(report_path), *SMOKE, "--engine", "cached"])
+    assert main([*args, "--engine", "cached", "--output", str(report_path)]) == 0
+    payload = json.loads(report_path.read_text())
+    names = {s["name"] for s in payload["scenarios"]}
+    payload["recorded_at_unix"] = 1
+    report_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main([*args, "--engine", "cached", "--resume", str(report_path)])
     assert code == 0
     out = capsys.readouterr().out
-    assert f"resumed from {report_path}" in out
+    assert f"resumed from {report_path}: {len(names)} scenario(s) reused, 0 re-run" in out
     payload = json.loads(report_path.read_text())
     assert payload["recorded_at_unix"] != 1  # merged report was written back
-    assert all(s["resumed"] for s in payload["scenarios"] if s["name"] in SMOKE)
+    assert {s["name"] for s in payload["scenarios"]} == names
+    assert all(s["resumed"] for s in payload["scenarios"])
