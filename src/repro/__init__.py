@@ -29,7 +29,9 @@ The package is organised as follows:
   (Section 2: bounded identifiers; Section 3 + Appendix A: computability)
   and the randomised decider of Corollary 1;
 * :mod:`repro.analysis` — neighbourhood-coverage analysis (the engine of the
-  impossibility arguments), experiment records and report formatting.
+  impossibility arguments), experiment records and report formatting;
+* :mod:`repro.jsonl` — the append-only JSONL log format shared by verdict-store
+  segments, campaign result logs and span traces.
 """
 
 from . import adversary, decision, engine, graphs, local_model

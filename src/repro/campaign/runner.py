@@ -53,7 +53,7 @@ from ..decision.randomized import evaluate_pq_decider
 from ..engine.base import EngineLike, ExecutionEngine, resolve_engine
 from ..engine.parallel import ParallelEngine
 from ..engine.persistent import VerdictStore
-from ..engine.store import open_append_log
+from ..jsonl import LogReader, append, open_append
 from ..obs import trace
 from .scenarios import bundled_scenarios, get_scenario
 from .spec import CampaignReport, ScenarioResult, ScenarioSpec
@@ -258,29 +258,17 @@ def _execute_phases(spec: ScenarioSpec, eng: ExecutionEngine, quick: bool) -> Sc
 def load_result_log(path: Union[str, Path]) -> Dict[str, ScenarioResult]:
     """Load an append-only JSONL result log into a name-indexed dict.
 
-    Each line is one :meth:`ScenarioResult.as_dict` payload.  The log is
-    written incrementally by a running sweep, so a crash can leave a
-    truncated (or otherwise malformed) trailing line — such lines are
-    skipped rather than fatal, which is exactly what makes the log usable
-    for crash recovery.  When the same scenario appears more than once
-    (e.g. re-run after its spec changed), the latest line wins.
+    Each line is one :meth:`ScenarioResult.as_dict` payload, in the shared
+    :mod:`repro.jsonl` format.  The log is written incrementally by a
+    running sweep, so a crash can leave a truncated (or otherwise
+    malformed) trailing line — such lines are skipped rather than fatal,
+    which is exactly what makes the log usable for crash recovery.  When
+    the same scenario appears more than once (e.g. re-run after its spec
+    changed), the latest line wins.
     """
-    path = Path(path)
-    results: Dict[str, ScenarioResult] = {}
-    if not path.exists():
-        return results
-    with path.open() as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                result = ScenarioResult.from_dict(payload)
-            except (ValueError, KeyError, TypeError):
-                continue  # truncated tail of a crashed sweep
-            results[result.name] = result
-    return results
+    if not Path(path).exists():
+        return {}
+    return {result.name: result for result in LogReader(path, ScenarioResult.from_dict)}
 
 
 def _append_result(handle, result: ScenarioResult) -> None:
@@ -292,9 +280,7 @@ def _append_result(handle, result: ScenarioResult) -> None:
     """
     started = time.perf_counter()
     with trace.span("campaign.log_append", name=result.name):
-        handle.write(json.dumps(result.as_dict(), sort_keys=True) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
+        append(handle, result.as_dict(), fsync=True)
     result.phase_seconds["persist"] = time.perf_counter() - started
 
 
@@ -353,7 +339,7 @@ def run_campaign(
     log_handle = None
     if log_path is not None:
         logged = load_result_log(log_path)
-        log_handle = open_append_log(log_path)
+        log_handle = open_append(log_path)
     with trace.span("campaign.run", name=name, quick=quick) as sp:
         try:
             for spec in _iter_specs(scenarios, seed):
@@ -422,7 +408,7 @@ def resume_campaign(
     log_handle = None
     if log_path is not None:
         logged = load_result_log(log_path)
-        log_handle = open_append_log(log_path)
+        log_handle = open_append(log_path)
     reused = 0
     requested: set = set()
     with trace.span("campaign.run", name=previous.name, quick=quick, resume=True) as sp:
@@ -461,9 +447,11 @@ def resume_campaign(
                 verdict_store.close()
             sp.add(scenarios=len(merged.results), reused=reused)
     # Results present in the old report but outside the requested scenario
-    # list are preserved, so a partial resume never drops history.
+    # list are preserved, so a partial resume never drops history.  They
+    # are carried over like reused ones, so replay gates skip them too.
     for result in previous.results:
         if result.name not in requested:
+            result.resumed = True
             merged.results.append(result)
     return merged, reused
 

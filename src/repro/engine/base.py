@@ -30,15 +30,14 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import AlgorithmError, IdentifierError
 from ..graphs.identifiers import IdAssignment
 from ..graphs.labelled_graph import LabelledGraph, Node
 from ..graphs.neighbourhood import Neighbourhood
 from ..obs import trace
-from ..obs.metrics import STORE_COMPUTED, STORE_REPLAYED
+from ..obs.metrics import STORE_COMPUTED, STORE_REPLAYED, Metric, MetricsRegistry
 
 if TYPE_CHECKING:  # imported lazily to keep engine ↔ local_model import-cycle-free
     from ..local_model.algorithm import LocalAlgorithm, RandomisedLocalAlgorithm
@@ -74,7 +73,6 @@ def derive_node_seed(seed: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
-@dataclass
 class EngineStats:
     """Counters describing the work one engine has performed.
 
@@ -82,26 +80,48 @@ class EngineStats:
     ``evaluation_hits`` counts node outputs served from the memo store
     instead.  ``ball_extractions`` counts views built by (batched) BFS;
     ``ball_hits`` counts views served from the per-graph ball cache.
+    These five hot-path counts are plain attributes.  Every other count
+    (store traffic, simulator messages, per-sweep pool deltas) lives in a
+    :class:`~repro.obs.metrics.MetricsRegistry` the stats object owns,
+    written only through :meth:`inc` with a declared
+    :class:`~repro.obs.metrics.Metric` and read through :meth:`get` or
+    the read-only :attr:`extra` mapping.
     """
 
-    nodes_run: int = 0
-    evaluations: int = 0
-    evaluation_hits: int = 0
-    ball_extractions: int = 0
-    ball_hits: int = 0
-    extra: Dict[str, int] = field(default_factory=dict)
+    #: The hot-path attribute counters, in reporting order.
+    FIELDS = ("nodes_run", "evaluations", "evaluation_hits", "ball_extractions", "ball_hits")
+
+    __slots__ = FIELDS + ("_registry",)
+
+    def __init__(self) -> None:
+        self.nodes_run = 0
+        self.evaluations = 0
+        self.evaluation_hits = 0
+        self.ball_extractions = 0
+        self.ball_hits = 0
+        self._registry = MetricsRegistry()
+
+    def inc(self, metric: Metric, amount: int = 1) -> None:
+        """Add ``amount`` to the declared counter ``metric``."""
+        self._registry.inc(metric, amount)
+
+    def get(self, metric: Metric) -> int:
+        """Current value of a registry counter (0 when never touched)."""
+        return self._registry.get(metric)
+
+    @property
+    def extra(self) -> Mapping[str, int]:
+        """Read-only, live mapping of the registry counters by wire name."""
+        return self._registry.view()
 
     def as_dict(self) -> Dict[str, int]:
-        """Return the counters as a plain dictionary (for reports / JSON)."""
-        out = {
-            "nodes_run": self.nodes_run,
-            "evaluations": self.evaluations,
-            "evaluation_hits": self.evaluation_hits,
-            "ball_extractions": self.ball_extractions,
-            "ball_hits": self.ball_hits,
-        }
-        out.update(self.extra)
+        """Return all counters as a plain dictionary (for reports / JSON)."""
+        out = {name: getattr(self, name) for name in self.FIELDS}
+        out.update(self._registry.snapshot())
         return out
+
+    def __repr__(self) -> str:
+        return f"EngineStats({self.as_dict()})"
 
 
 class ExecutionEngine(ABC):
@@ -359,10 +379,7 @@ class ExecutionEngine(ABC):
 
 def store_counters(engine: "ExecutionEngine") -> Tuple[int, int]:
     """Snapshot the engine's ``(store_replayed, store_computed)`` counters."""
-    return (
-        engine.stats.extra.get(STORE_REPLAYED.name, 0),
-        engine.stats.extra.get(STORE_COMPUTED.name, 0),
-    )
+    return engine.stats.get(STORE_REPLAYED), engine.stats.get(STORE_COMPUTED)
 
 
 def store_job_split(

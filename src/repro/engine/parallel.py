@@ -34,10 +34,10 @@ single-graph runs out over the process-wide persistent
   :func:`~repro.engine.base.derive_node_seed`, so verdicts are identical
   to the serial backends for any worker count — the equivalence suite
   asserts this;
-* **worker-side store replay** — when a
-  :class:`~repro.engine.persistent.PersistentEngine` wraps this engine it
-  calls :meth:`attach_store`, and workers mount that store read-only so
-  settled jobs replay from disk inside the pool too;
+* **no store in the workers** — a wrapping
+  :class:`~repro.engine.persistent.PersistentEngine` replays settled jobs
+  in the parent and sends only the misses here, so workers compute and
+  never open the verdict store;
 * **graceful serial fallback** — in-process batches, and batches the pool
   cannot run (a worker crashed twice, the pool could not be rebuilt), run
   on the in-process shared engine with identical semantics.
@@ -55,8 +55,8 @@ from ..graphs.identifiers import IdAssignment
 from ..graphs.labelled_graph import LabelledGraph, Node
 from ..graphs.neighbourhood import Neighbourhood
 from ..obs import trace
-from ..obs.metrics import diff_snapshots
-from .base import ExecutionEngine
+from ..obs.metrics import POOL_COUNTERS, diff_snapshots
+from .base import EngineStats, ExecutionEngine
 from .pool import PoolPayload, WorkerCrashError, get_pool, shared_local_engine, shutdown_pool
 
 if TYPE_CHECKING:  # type-only; keeps engine ↔ local_model import-cycle-free
@@ -129,7 +129,6 @@ class ParallelEngine(ExecutionEngine):
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.adaptive = adaptive
-        self._store_path: Optional[str] = None
 
     # -- lifecycle --------------------------------------------------------- #
 
@@ -137,15 +136,6 @@ class ParallelEngine(ExecutionEngine):
         """Stop the (process-wide) worker pool.  Idempotent; the next
         batch that wants the pool re-forks it lazily."""
         shutdown_pool()
-
-    def attach_store(self, path: str) -> None:
-        """Mount the verdict store at ``path`` read-only inside workers.
-
-        Called by :class:`~repro.engine.persistent.PersistentEngine` when
-        it wraps this engine; future payloads carry the path so workers
-        replay settled jobs from disk instead of recomputing them.
-        """
-        self._store_path = path
 
     # -- the shared in-process engine -------------------------------------- #
 
@@ -183,7 +173,7 @@ class ParallelEngine(ExecutionEngine):
             return None
         if self.adaptive and graph_nodes * (payload["algorithm"].radius + 1) < POOL_MIN_UNITS:
             return None
-        return self._fan_out(PoolPayload(store_path=self._store_path, **payload), count)
+        return self._fan_out(PoolPayload(**payload), count)
 
     # -- pool plumbing ----------------------------------------------------- #
 
@@ -214,8 +204,10 @@ class ParallelEngine(ExecutionEngine):
                     tracer.absorb_sidecar()
         if replies is None:
             return None
-        for key, delta in diff_snapshots(before, pool.metrics.snapshot()).items():
-            self.stats.extra[key] = self.stats.extra.get(key, 0) + delta
+        deltas = diff_snapshots(before, pool.metrics.snapshot())
+        for metric in POOL_COUNTERS:
+            if metric.name in deltas:
+                self.stats.inc(metric, deltas[metric.name])
         merged: List = []
         for outputs, worker_stats in replies:
             merged.append(outputs)
@@ -223,13 +215,10 @@ class ParallelEngine(ExecutionEngine):
         return merged
 
     def _absorb_stats(self, worker_stats: Dict[str, int]) -> None:
-        for field_name in ("nodes_run", "evaluations", "evaluation_hits", "ball_extractions", "ball_hits"):
-            setattr(self.stats, field_name, getattr(self.stats, field_name) + worker_stats.get(field_name, 0))
-        for key, value in worker_stats.items():
-            if key in ("nodes_run", "evaluations", "evaluation_hits", "ball_extractions", "ball_hits"):
-                continue
-            if isinstance(value, int):
-                self.stats.extra[key] = self.stats.extra.get(key, 0) + value
+        # Workers run bare CachedEngines, which count only the hot-path
+        # attribute fields.
+        for name in EngineStats.FIELDS:
+            setattr(self.stats, name, getattr(self.stats, name) + worker_stats[name])
 
     @staticmethod
     def _by_node(chosen: List[Node], shards: List) -> Dict[Node, Hashable]:

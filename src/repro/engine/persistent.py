@@ -11,9 +11,10 @@ direction calls for:
   front on open, and are content-addressed by a stable digest of the job
   (canonical graph/identifier/seed tokens + the algorithm's exact
   :func:`algorithm_fingerprint`).
-  Segments are append-only, so concurrent readers are safe and a crashed
-  run can never corrupt previously settled verdicts; a truncated trailing
-  line (killed mid-append) is skipped with a warning on the next open.
+  Segments are :mod:`repro.jsonl` logs: append-only, so concurrent
+  readers are safe and a crashed run can never corrupt previously settled
+  verdicts; a truncated trailing line (killed mid-append) is healed on
+  the next open and skipped with a warning.
 * :class:`PersistentEngine` — an :class:`~repro.engine.base.ExecutionEngine`
   that wraps any inner backend (default: a fresh
   :class:`~repro.engine.cached.CachedEngine`) and consults the store
@@ -21,7 +22,9 @@ direction calls for:
   replayed from disk; only the misses are batched to the inner engine
   (so a :class:`~repro.engine.parallel.ParallelEngine` inner still fans
   the misses out across its pool), and their outputs are appended to the
-  store afterwards.  Every engine grows a
+  store afterwards.  Replay happens only here, in the calling process:
+  the store is consulted for every job before any miss is sent on, so
+  pool workers never open it.  Every engine grows a
   :meth:`~repro.engine.base.ExecutionEngine.with_store` seam returning
   itself wrapped this way.
 
@@ -47,7 +50,6 @@ drops the segments wholesale when an explicit reset is wanted.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import warnings
 from pathlib import Path
@@ -67,6 +69,7 @@ from typing import (
 from ..graphs.identifiers import IdAssignment
 from ..graphs.labelled_graph import LabelledGraph, Node
 from ..graphs.neighbourhood import Neighbourhood
+from ..jsonl import LogReader, append, open_append
 from ..local_model.outputs import Verdict
 from ..obs import trace
 from ..obs.metrics import (
@@ -74,10 +77,9 @@ from ..obs.metrics import (
     STORE_DECODE_FAILURES,
     STORE_REPLAYED,
     STORE_UNPERSISTABLE,
-    Metric,
 )
 from .base import EngineLike, ExecutionEngine, resolve_engine
-from .store import LRUStore, open_append_log
+from .store import LRUStore
 
 if TYPE_CHECKING:  # type-only; keeps engine ↔ local_model import-cycle-free
     from ..local_model.algorithm import LocalAlgorithm, RandomisedLocalAlgorithm
@@ -383,6 +385,11 @@ def _decode_outputs(graph: LabelledGraph, payload: Sequence[Any]) -> Dict[Node, 
 _SEGMENT_GLOB = "segment-*.jsonl"
 
 
+def _segment_entry(record: Any) -> Tuple[str, Any]:
+    """One segment line's ``(digest, encoded outputs)``."""
+    return record["k"], record["v"]
+
+
 class VerdictStore:
     """Append-only, segment-based persistence of settled job outputs.
 
@@ -400,30 +407,18 @@ class VerdictStore:
         again in this run; stores larger than the front therefore degrade
         to partial replay rather than growing their segments.
 
-    read_only:
-        Never touch disk on :meth:`put`: entries are cached in the memory
-        front only.  This is how pool workers mount the parent's store —
-        many workers appending their own segments would fragment the store
-        into per-fork files that the parent re-loads forever; instead
-        workers replay what is settled and the parent persists what its
-        batch computed.
-
-    Each segment line is ``{"k": <digest>, "v": <encoded outputs>}``.
-    Truncated or otherwise undecodable lines (a run killed mid-append) are
-    skipped with a :class:`StoreCorruptionWarning` instead of crashing.
-    A segment is reopened with its truncated tail healed, so the next
-    append starts on a fresh line, and appends never touch earlier bytes:
-    one bad line costs one verdict, not the store.
+    Each segment line is ``{"k": <digest>, "v": <encoded outputs>}``, in
+    the shared :mod:`repro.jsonl` format.  Truncated or otherwise
+    undecodable lines (a run killed mid-append) are skipped and counted
+    in ``corrupt_lines_skipped``, with one :class:`StoreCorruptionWarning`
+    per affected segment, instead of crashing.  A segment is reopened with
+    its truncated tail healed, so the next append starts on a fresh line,
+    and appends never touch earlier bytes: one bad line costs one verdict,
+    not the store.  Each append is flushed; :meth:`flush` fsyncs.
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        max_memory_entries: int = 100_000,
-        read_only: bool = False,
-    ) -> None:
+    def __init__(self, path: Union[str, Path], max_memory_entries: int = 100_000) -> None:
         self.path = Path(path)
-        self.read_only = read_only
         self.path.mkdir(parents=True, exist_ok=True)
         self._front = LRUStore(max_memory_entries)
         # Every digest present in a segment, independent of the bounded
@@ -441,47 +436,40 @@ class VerdictStore:
 
     def _load_segments(self) -> None:
         with trace.span("store.load", path=str(self.path)) as sp:
-            self._load_segments_inner()
+            for segment in sorted(self.path.glob(_SEGMENT_GLOB)):
+                self._load_segment(segment)
             sp.add(
                 segments=self.segments_loaded,
                 entries=self.entries_loaded,
                 corrupt=self.corrupt_lines_skipped,
             )
 
-    def _load_segments_inner(self) -> None:
-        for segment in sorted(self.path.glob(_SEGMENT_GLOB)):
-            self.segments_loaded += 1
-            try:
-                text = segment.read_text()
-            except OSError as exc:  # unreadable segment: warn, keep going
-                warnings.warn(
-                    f"verdict store segment {segment} unreadable ({exc}); skipping it",
-                    StoreCorruptionWarning,
-                    stacklevel=4,
-                )
-                continue
-            for lineno, line in enumerate(text.splitlines(), start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    key, value = record["k"], record["v"]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    self.corrupt_lines_skipped += 1
-                    warnings.warn(
-                        f"verdict store segment {segment.name} line {lineno} is "
-                        "corrupt (truncated append?); skipping it",
-                        StoreCorruptionWarning,
-                        stacklevel=4,
-                    )
-                    continue
+    def _load_segment(self, segment: Path) -> None:
+        self.segments_loaded += 1
+        records = LogReader(segment, _segment_entry)
+        try:
+            for key, value in records:
                 self._front.put(key, value)
                 self._on_disk.add(key)
                 self.entries_loaded += 1
+        except OSError as exc:  # unreadable segment: warn, keep going
+            warnings.warn(
+                f"verdict store segment {segment} unreadable ({exc}); skipping it",
+                StoreCorruptionWarning,
+                stacklevel=4,
+            )
+        if records.corrupt:
+            self.corrupt_lines_skipped += records.corrupt
+            warnings.warn(
+                f"verdict store segment {segment.name} has {records.corrupt} corrupt "
+                "line(s) (truncated append?); skipped them",
+                StoreCorruptionWarning,
+                stacklevel=4,
+            )
 
     def _segment(self):
         if self._segment_file is None:
-            self._segment_file = open_append_log(self._segment_path)
+            self._segment_file = open_append(self._segment_path)
         return self._segment_file
 
     # -- mapping interface ----------------------------------------------- #
@@ -498,14 +486,11 @@ class VerdictStore:
 
     def put(self, digest: str, payload: Any) -> None:
         """Persist ``payload`` under ``digest``: append to disk, cache in memory."""
-        if self.read_only or digest in self._on_disk:
+        if digest in self._on_disk:
             self._front.put(digest, payload)
             return
-        line = json.dumps({"k": digest, "v": payload}, sort_keys=True)
-        with trace.span("store.append", bytes=len(line)):
-            segment = self._segment()
-            segment.write(line + "\n")
-            segment.flush()
+        with trace.span("store.append") as sp:
+            sp.add(bytes=append(self._segment(), {"k": digest, "v": payload}, fsync=False))
         self._front.put(digest, payload)
         self._on_disk.add(digest)
         self.appends += 1
@@ -513,9 +498,8 @@ class VerdictStore:
     # -- lifecycle ------------------------------------------------------- #
 
     def flush(self) -> None:
-        """Flush the open segment to disk."""
+        """Push the open segment to disk (appends are already flushed)."""
         if self._segment_file is not None:
-            self._segment_file.flush()
             os.fsync(self._segment_file.fileno())
 
     def close(self) -> None:
@@ -573,17 +557,9 @@ class PersistentEngine(ExecutionEngine):
     inner:
         The backend that computes misses — anything accepted by
         ``engine=`` arguments (default ``"cached"``).  Statistics are
-        shared with the inner engine, with the store traffic surfaced as
-        ``store_replayed`` / ``store_computed`` extras, so drivers and
-        campaign reports can distinguish replayed from computed jobs.
-    replay_only:
-        When true, serve (and count) store hits but never persist what
-        the inner engine computes — no ``store_computed`` counting, no
-        writes, not even to the in-memory front.  This is the worker-side
-        mount inside :class:`~repro.engine.pool.WorkerPool`: the parent
-        wrapper owns the job accounting and the durable writes, so a
-        worker front that also counted its same-sweep computations would
-        double-book them when worker stats merge back.
+        shared with the inner engine, with the store traffic counted as
+        ``store_replayed`` / ``store_computed``, so drivers and campaign
+        reports can distinguish replayed from computed jobs.
 
     Only *whole* runs are persisted (complete output maps of one
     ``(graph, ids[, seed])`` job); partial node subsets and randomised
@@ -593,40 +569,28 @@ class PersistentEngine(ExecutionEngine):
     written to the store, and counted as ``store_computed`` plus
     ``store_unpersistable``.  The batched drivers consult the store first
     and delegate only the misses — as one batch, so a sharding inner
-    engine still sees maximal fan-out.
+    engine still sees maximal fan-out.  Replay happens here, in the
+    calling process, only: the pool workers of a
+    :class:`~repro.engine.parallel.ParallelEngine` inner compute what
+    they are sent and never open the store.
     """
 
     name = "persistent"
 
-    def __init__(
-        self,
-        store: Union[VerdictStore, str, Path],
-        inner: EngineLike = None,
-        replay_only: bool = False,
-    ) -> None:
+    def __init__(self, store: Union[VerdictStore, str, Path], inner: EngineLike = None) -> None:
         super().__init__()
         self.store = store if isinstance(store, VerdictStore) else VerdictStore(store)
         self.inner = resolve_engine(inner if inner is not None else "cached")
-        self.replay_only = replay_only
         # Share the inner engine's stats object so computed work is counted
-        # once, and layer the store counters into its extras.
+        # once, and count the store traffic into the same registry.
         self.stats = self.inner.stats
         self._fingerprints = LRUStore(256)
         self._graph_tokens = LRUStore(1024)
-        # A sharding inner engine (ParallelEngine) can mount the store
-        # read-only inside its workers, so misses this wrapper delegates
-        # still replay whatever *other* jobs of the batch are settled.
-        attach = getattr(self.inner, "attach_store", None)
-        if callable(attach):
-            attach(str(self.store.path))
 
     def reset_stats(self) -> None:
         """Reset the shared stats counters of the wrapped inner engine."""
         self.inner.reset_stats()
         self.stats = self.inner.stats
-
-    def _count(self, metric: Metric, amount: int = 1) -> None:
-        self.stats.extra[metric.name] = self.stats.extra.get(metric.name, 0) + amount
 
     # -- digesting (memoised per engine) --------------------------------- #
 
@@ -679,24 +643,22 @@ class PersistentEngine(ExecutionEngine):
         except (_Unpersistable, KeyError, ValueError, TypeError):
             # A stale or foreign entry that happens to share the digest is
             # treated as a miss, never as an error.
-            self._count(STORE_DECODE_FAILURES)
+            self.stats.inc(STORE_DECODE_FAILURES)
             return None
-        self._count(STORE_REPLAYED)
+        self.stats.inc(STORE_REPLAYED)
         return outputs
 
     def _persist(
         self, digest: Optional[str], graph: LabelledGraph, outputs: Dict[Node, Hashable]
     ) -> None:
-        if self.replay_only:
-            return
-        self._count(STORE_COMPUTED)
+        self.stats.inc(STORE_COMPUTED)
         if digest is None:
-            self._count(STORE_UNPERSISTABLE)
+            self.stats.inc(STORE_UNPERSISTABLE)
             return
         try:
             self.store.put(digest, _encode_outputs(graph, outputs))
         except _Unpersistable:
-            self._count(STORE_UNPERSISTABLE)
+            self.stats.inc(STORE_UNPERSISTABLE)
 
     # -- delegated primitives --------------------------------------------- #
 

@@ -33,6 +33,9 @@
 
 Which batches reach the pool is decided by
 :class:`~repro.engine.parallel.ParallelEngine`; this module only runs them.
+Workers compute every job they are sent: verdict-store replay happens in
+the parent (:class:`~repro.engine.persistent.PersistentEngine` checks the
+store before any miss reaches the pool), so no worker opens the store.
 
 Lifecycle: the pool is created lazily on first use, shut down explicitly
 with :func:`shutdown_pool` (idempotent; also registered via ``atexit``)
@@ -115,8 +118,6 @@ class PoolPayload:
     list); chunks are ``range`` objects of *global* indices into
     ``nodes`` / ``jobs``, so any split into chunks executes identically
     (randomised per-node seeds derive from the global index).
-    ``store_path`` (when set) lets workers replay settled jobs from a
-    read-only :class:`~repro.engine.persistent.VerdictStore` front.
     """
 
     kind: str  # "run" | "run_randomised" | "run_many" | "run_randomised_many"
@@ -126,7 +127,6 @@ class PoolPayload:
     nodes: Optional[List[Any]] = None
     base_seed: Optional[int] = None
     jobs: Optional[Sequence[Tuple]] = None
-    store_path: Optional[str] = None
 
 
 def _same_payload(a: PoolPayload, b: PoolPayload) -> bool:
@@ -136,7 +136,7 @@ def _same_payload(a: PoolPayload, b: PoolPayload) -> bool:
     algorithm and the same job objects must not re-ship the payload.
     Identity is sound because graphs and assignments are immutable.
     """
-    if a.kind != b.kind or a.algorithm is not b.algorithm or a.store_path != b.store_path:
+    if a.kind != b.kind or a.algorithm is not b.algorithm:
         return False
     if a.graph is not b.graph or a.ids is not b.ids or a.base_seed != b.base_seed:
         return False
@@ -166,27 +166,6 @@ def _same_payload(a: PoolPayload, b: PoolPayload) -> bool:
 # copy-on-write memory.
 
 _INHERITED: Optional[Tuple[int, PoolPayload]] = None
-
-
-def _store_front(stores: Dict[str, Any], path: str, engine: CachedEngine):
-    """A worker's read-only verdict-store wrapper for ``path`` (cached).
-
-    The front is ``replay_only``: it serves (and counts) jobs already
-    settled on disk, but never records its own same-sweep computations —
-    the parent-side :class:`PersistentEngine` owns persistence and the
-    ``store_computed`` accounting, so a worker front that also counted
-    (or memory-front cached) what it computes would double-book those
-    jobs when the worker stats merge back into the parent's.
-    """
-    front = stores.get(path)
-    if front is None:
-        from .persistent import PersistentEngine, VerdictStore
-
-        front = PersistentEngine(
-            VerdictStore(path, read_only=True), inner=engine, replay_only=True
-        )
-        stores[path] = front
-    return front
 
 
 def _execute_chunk(engine, payload: PoolPayload, chunk: range):
@@ -236,7 +215,6 @@ def _worker_main(conn) -> None:
     payloads: Dict[int, PoolPayload] = {}
     if _INHERITED is not None:
         payloads[_INHERITED[0]] = _INHERITED[1]
-    stores: Dict[str, Any] = {}
     while True:
         try:
             message = conn.recv()
@@ -264,9 +242,6 @@ def _worker_main(conn) -> None:
         if payload is None:
             conn.send(("missing-payload", generation))
             continue
-        eng = engine
-        if payload.store_path is not None:
-            eng = _store_front(stores, payload.store_path, engine)
         if trace_ctx is not None:
             # Trace this batch into a per-worker sidecar file, every span
             # tagged with the worker id and parented (via root_parent)
@@ -286,7 +261,7 @@ def _worker_main(conn) -> None:
             results = []
             for chunk in chunks:
                 with trace.span("pool.chunk", jobs=len(chunk)):
-                    results.append(_execute_chunk(eng, payload, chunk))
+                    results.append(_execute_chunk(engine, payload, chunk))
         except BaseException as exc:  # ship the failure, stay alive
             try:
                 conn.send(("error", exc))
@@ -380,7 +355,7 @@ class WorkerPool:
 
     @property
     def coalesced_batches(self) -> int:
-        """Lifetime batches that coalesced chunks (``coalesced_batches``)."""
+        """Lifetime job-list batches with more jobs than chunks (``coalesced_batches``)."""
         return int(self.metrics.get(COALESCED_BATCHES))
 
     @property

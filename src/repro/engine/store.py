@@ -7,19 +7,14 @@ graphs cannot grow memory without limit.  :class:`LRUStore` is the single
 primitive behind all three: an insertion-ordered mapping that evicts the
 least-recently-used entry once a capacity is exceeded, with hit/miss
 counters so benchmarks and tests can observe cache behaviour.
-
-:func:`open_append_log` is the one way the on-disk JSONL logs (verdict-store
-segments, campaign result logs) are opened for appending.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from pathlib import Path
-from typing import IO, Any, Dict, Hashable, Optional, Union
+from typing import Any, Dict, Hashable, Optional
 
-__all__ = ["LRUStore", "open_append_log"]
+__all__ = ["LRUStore"]
 
 _MISSING = object()
 
@@ -103,21 +98,3 @@ class LRUStore:
     def __repr__(self) -> str:
         cap = "inf" if self.maxsize is None else self.maxsize
         return f"LRUStore(size={len(self._data)}, maxsize={cap}, hits={self.hits}, misses={self.misses})"
-
-
-def open_append_log(path: Union[str, Path]) -> IO[str]:
-    """Open a JSONL log for appending, healing a truncated tail.
-
-    A crash mid-write can leave the last line without its newline; start
-    the next record on a fresh line so it stays parseable (readers skip
-    the truncated fragment either way).
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle = path.open("a", encoding="utf-8")
-    if handle.tell() > 0:
-        with path.open("rb") as probe:
-            probe.seek(-1, os.SEEK_END)
-            if probe.read(1) != b"\n":
-                handle.write("\n")
-    return handle

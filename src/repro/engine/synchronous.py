@@ -57,9 +57,7 @@ class SynchronousEngine(ExecutionEngine):
         sim = SynchronousSimulator(graph, ids)
         sim.run_rounds(radius + self.extra_rounds)
         self.last_simulation_stats = sim.stats
-        self.stats.extra[MESSAGES_SENT.name] = (
-            self.stats.extra.get(MESSAGES_SENT.name, 0) + sim.stats.messages_sent
-        )
+        self.stats.inc(MESSAGES_SENT, sim.stats.messages_sent)
         out: Dict[Node, Neighbourhood] = {}
         for v in chosen:
             self.stats.ball_extractions += 1

@@ -24,9 +24,10 @@ monotonic clocks and never comparable across processes.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Any, Dict, List, Sequence, Tuple
+
+from ..jsonl import LogReader
 
 __all__ = [
     "aggregate",
@@ -43,31 +44,26 @@ _JOB_SUFFIXES = (".run", ".run_randomised")
 _NON_JOB_PREFIXES = ("campaign.", "pool.", "store.", "interned.", "adversary.")
 
 
+def _span_record(record: Any) -> Dict[str, Any]:
+    """Accept one decoded trace line as a span, or raise ``ValueError``."""
+    if (
+        not isinstance(record, dict)
+        or "kind" not in record
+        or not isinstance(record.get("t0"), (int, float))
+        or not isinstance(record.get("t1"), (int, float))
+    ):
+        raise ValueError("not a span record")
+    return record
+
+
 def load_trace(path: str) -> List[Dict[str, Any]]:
-    """Read a span-per-line JSONL trace, skipping malformed lines.
+    """Read a span-per-line :mod:`repro.jsonl` trace, skipping malformed lines.
 
     Workers killed mid-write (death-recovery tests do this on purpose)
     can leave truncated lines; those are dropped rather than failing the
     whole report.
     """
-    spans: List[Dict[str, Any]] = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(record, dict) or "kind" not in record:
-                continue
-            if not isinstance(record.get("t0"), (int, float)):
-                continue
-            if not isinstance(record.get("t1"), (int, float)):
-                continue
-            spans.append(record)
-    return spans
+    return list(LogReader(path, _span_record))
 
 
 def _duration(span: Dict[str, Any]) -> float:

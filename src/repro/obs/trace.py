@@ -12,11 +12,12 @@ Design constraints, in order:
   returns a shared no-op context manager after one global ``None`` check,
   so instrumented hot paths (every ``engine.run`` of every job) pay a few
   tens of nanoseconds.  The CI record ``BENCH_obs.json`` gates this.
-* **One process, one file.**  A tracer owns exactly one append-only JSONL
-  file; timestamps are :func:`time.perf_counter` values, monotonic within
-  the writing process.  Cross-process trees therefore never compare raw
-  timestamps — only durations and parent edges (the report does exactly
-  that).
+* **One process, one file.**  A tracer owns exactly one append-only
+  :mod:`repro.jsonl` log (tail healed on open, one flushed line per span,
+  no fsync); timestamps are :func:`time.perf_counter` values, monotonic
+  within the writing process.  Cross-process trees therefore never
+  compare raw timestamps — only durations and parent edges (the report
+  does exactly that).
 * **Workers never write the parent's file.**  ``os.register_at_fork``
   drops the global tracer in forked children; pool workers are handed an
   explicit sidecar directory and a parent span id per batch
@@ -30,8 +31,8 @@ Enable globally with the ``REPRO_TRACE=path`` environment variable, the
 
 Trace line format (one completed span per line)::
 
-    {"kind": "cached.run", "id": "3f2a.17", "parent": "3f2a.16",
-     "t0": 1.234, "t1": 1.251, "attrs": {"graph_nodes": 64}}
+    {"attrs": {"graph_nodes": 64}, "id": "3f2a.17", "kind": "cached.run",
+     "parent": "3f2a.16", "t0": 1.234, "t1": 1.251}
 
 ``id`` is ``<pid hex>.<counter>`` — unique across the processes of one
 sweep; ``parent`` is another span's id or ``null`` for roots; ``attrs``
@@ -41,10 +42,11 @@ merges the tracer's tags (e.g. a worker id) with the span's own.
 from __future__ import annotations
 
 import atexit
-import json
 import os
 import time
 from typing import Any, Dict, List, Optional, Union
+
+from ..jsonl import LogReader, append, open_append
 
 __all__ = [
     "Span",
@@ -131,8 +133,9 @@ class Tracer:
     Parameters
     ----------
     path:
-        Trace file, opened for append (parent directories are created).
-        The file is line-buffered so a fork can never duplicate partially
+        Trace file, opened with :func:`repro.jsonl.open_append` (parent
+        directories are created, a truncated tail is healed).  Every span
+        is flushed as it is written, so a fork can never duplicate
         buffered lines into a child.
     tags:
         Attributes merged into every span this tracer records — worker
@@ -150,10 +153,7 @@ class Tracer:
         root_parent: Optional[str] = None,
     ) -> None:
         self.path = os.fspath(path)
-        parent_dir = os.path.dirname(self.path)
-        if parent_dir:
-            os.makedirs(parent_dir, exist_ok=True)
-        self._fh = open(self.path, "a", buffering=1, encoding="utf-8")
+        self._fh = open_append(self.path)
         self.tags = dict(tags or {})
         self.root_parent = root_parent
         self._stack: List[Span] = []
@@ -188,7 +188,7 @@ class Tracer:
             "t1": span.t1,
             "attrs": span.attrs,
         }
-        self._fh.write(json.dumps(record, separators=(",", ":"), default=repr) + "\n")
+        append(self._fh, record, fsync=False)
         self.spans_written += 1
 
     # -- cross-process merging --------------------------------------------- #
@@ -200,11 +200,12 @@ class Tracer:
     def absorb_sidecar(self) -> int:
         """Merge (and delete) every worker trace file from the sidecar directory.
 
-        Worker lines are appended to this tracer's file verbatim — their
-        spans already carry globally unique ids and explicit parents, so
-        no rewriting is needed.  Returns the number of lines merged.
-        Missing directories and racing deletions are tolerated silently;
-        merging is best-effort by design.
+        Worker spans are appended to this tracer's file unchanged — they
+        already carry globally unique ids and explicit parents, so no
+        rewriting is needed; lines a killed worker left undecodable are
+        dropped.  Returns the number of spans merged.  Missing directories
+        and racing deletions are tolerated silently; merging is
+        best-effort by design.
         """
         directory = self.sidecar_dir()
         if not os.path.isdir(directory):
@@ -215,14 +216,11 @@ class Tracer:
                 continue
             file_path = os.path.join(directory, name)
             try:
-                with open(file_path, encoding="utf-8") as handle:
-                    text = handle.read()
+                for record in LogReader(file_path):
+                    append(self._fh, record, fsync=False)
+                    merged += 1
             except OSError:  # pragma: no cover - racing deletion
                 continue
-            for line in text.splitlines():
-                if line.strip():
-                    self._fh.write(line + "\n")
-                    merged += 1
             try:
                 os.unlink(file_path)
             except OSError:  # pragma: no cover - racing deletion
@@ -237,10 +235,8 @@ class Tracer:
     # -- lifecycle --------------------------------------------------------- #
 
     def close(self) -> None:
-        """Flush and close the trace file (idempotent)."""
-        if not self._fh.closed:
-            self._fh.flush()
-            self._fh.close()
+        """Close the trace file (idempotent; every span is already flushed)."""
+        self._fh.close()
 
     def __repr__(self) -> str:
         """Short debug form naming the file and span count."""
@@ -312,8 +308,8 @@ def active() -> Optional[Tracer]:
 def _drop_in_forked_child() -> None:
     """Forked children must never write the parent's trace file.
 
-    The inherited tracer is simply abandoned (its file is line-buffered,
-    so the child's copy holds no pending bytes to accidentally flush);
+    The inherited tracer is simply abandoned (every span is flushed as it
+    is written, so the child's copy holds no pending bytes to flush);
     pool workers open their own sidecar files per batch instead.
     """
     global _TRACER

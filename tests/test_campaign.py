@@ -1,8 +1,11 @@
 """The campaign subsystem: bundled scenarios, runner, reports, CLI, CI gate."""
 
+import hashlib
 import json
 import subprocess
 import sys
+import time
+import types
 import warnings
 from pathlib import Path
 
@@ -12,12 +15,14 @@ from repro.campaign import (
     CampaignReport,
     bundled_scenarios,
     get_scenario,
+    replay_summary,
     resume_campaign,
     run_campaign,
     run_scenario,
     scenario_names,
     write_report,
 )
+from repro.campaign import runner
 from repro.campaign.cli import main as campaign_main
 from repro.engine import ParallelEngine, StoreCorruptionWarning, VerdictStore
 from repro.obs.report import load_trace
@@ -393,6 +398,25 @@ def test_campaign_store_replays_second_run(tmp_path):
         assert w.engine == "persistent"
 
 
+#: SHA-256 of the verdict-store segment and of the result log that one
+#: fixed cached quick sweep of ``SMOKE`` writes, timings frozen at zero.
+#: Stores and logs written by earlier versions must keep replaying, so
+#: their bytes are pinned.
+SMOKE_SEGMENT_SHA256 = "a8087865ed89d8855635138a857d4c901affe0680596724dcb73d592cd492dd5"
+SMOKE_LOG_SHA256 = "91de1809825478ce750d28b09e1d618602bf0af6f8af8dbca0b658d3fcc806e3"
+
+
+def test_store_segment_and_result_log_bytes_are_pinned(tmp_path, monkeypatch):
+    # Wall-clock timings are the only fields that vary between runs.
+    monkeypatch.setattr(runner, "time", types.SimpleNamespace(perf_counter=lambda: 0.0, time=time.time))
+    store, log = tmp_path / "store", tmp_path / "log.jsonl"
+    report = run_campaign(SMOKE, engine="cached", quick=True, store=store, log_path=log)
+    assert report.ok
+    (segment,) = store.glob("segment-*.jsonl")
+    assert hashlib.sha256(segment.read_bytes()).hexdigest() == SMOKE_SEGMENT_SHA256
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == SMOKE_LOG_SHA256
+
+
 def test_campaign_log_inside_the_store_directory_is_not_a_segment(tmp_path):
     # The store owns only its segment-*.jsonl files: a campaign log kept
     # in the same directory must not be parsed (one corruption warning per
@@ -497,6 +521,27 @@ def test_cli_min_replayed_ignores_resumed_scenarios(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert "resumed scenario(s) excluded" in out
+
+
+def test_cli_partial_resume_gate_skips_unrequested_scenarios(tmp_path, capsys):
+    # Resume a two-scenario report asking for only one of them, with a
+    # store that has never seen either: nothing runs, so the gate must
+    # pass, and the carried-over scenario counts as resumed, not computed.
+    report_path = tmp_path / "r.json"
+    assert campaign_main([*SMOKE, "--quick", "--engine", "cached", "--output", str(report_path)]) == 0
+    capsys.readouterr()
+    code = campaign_main(
+        [SMOKE[0], "--quick", "--engine", "cached", "--resume", str(report_path),
+         "--store", str(tmp_path / "s"), "--min-replayed", "0.9", "--no-report"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "2 resumed scenario(s) excluded" in out
+    assert "FAIL" not in out
+    report, reused = resume_campaign(report_path, [SMOKE[0]], engine="cached")
+    assert reused == 1
+    assert [r.resumed for r in report.results] == [True, True]
+    assert replay_summary(report) == (0, 0, 1.0, 2)
 
 
 def test_cli_resume_writes_back_to_resume_path(sweep_cli, tmp_path, capsys):

@@ -4,7 +4,7 @@ Load-bearing claims: tracing disabled is a true no-op (no file, no
 behaviour change), spans written under ParallelEngine workers merge into
 one coherent tree under the parent's dispatch span for any worker count,
 verdicts are byte-identical with tracing on vs off, the typed metrics
-registry kind-checks and diffs, and ``python -m repro.obs report`` totals
+registry counts only declared counters and diffs, and ``python -m repro.obs report`` totals
 agree exactly with the campaign report's replay/compute split.
 """
 
@@ -20,12 +20,12 @@ from repro.graphs import cycle_graph
 from repro.local_model import NO, YES
 from repro.obs import metrics, trace
 from repro.obs.cli import main as obs_main
+from repro.engine.base import EngineStats
 from repro.obs.metrics import (
-    COUNTER,
+    BATCHES,
     FORKS,
-    GAUGE,
-    HISTOGRAM,
     POOL_COUNTERS,
+    STORE_REPLAYED,
     Metric,
     MetricsRegistry,
     diff_snapshots,
@@ -119,6 +119,24 @@ def test_trace_skips_garbled_lines(tmp_path):
     assert [s["kind"] for s in spans] == ["good"]
 
 
+def test_tracer_heals_a_truncated_tail(tmp_path):
+    path = tmp_path / "t.jsonl"
+    trace.enable(path)
+    for kind in ("first", "second"):
+        with trace.span(kind):
+            pass
+    trace.disable()
+    # A process killed mid-append leaves the last line without its newline.
+    with open(path, "a") as fh:
+        fh.write('{"kind": "trunca')
+    trace.enable(path)
+    with trace.span("after"):
+        pass
+    trace.disable()
+    # The new span starts on a fresh line: only the fragment is lost.
+    assert [s["kind"] for s in load_trace(str(path))] == ["first", "second", "after"]
+
+
 # ---------------------------------------------------------------------- #
 # Worker trace merging
 # ---------------------------------------------------------------------- #
@@ -185,45 +203,58 @@ def test_worker_pids_differ_from_parent_in_span_ids(tmp_path):
 # ---------------------------------------------------------------------- #
 
 
-def test_registry_counts_gauges_and_histograms():
+def test_registry_rejects_undeclared_metric():
     reg = MetricsRegistry()
-    m = Metric("widgets", COUNTER, "widgets", "test counter")
-    g = Metric("depth", GAUGE, "levels", "test gauge")
-    h = Metric("latency", HISTOGRAM, "seconds", "test histogram")
-    assert reg.inc(m) == 1
-    assert reg.inc(m, 4) == 5
-    reg.set(g, 3)
-    reg.observe(h, 0.25)
-    reg.observe(h, 0.75)
-    assert reg.get(m) == 5
-    assert reg.get(g) == 3
-    summary = reg.histogram_summary(h)
-    assert summary["count"] == 2
-    assert summary["p50"] in (0.25, 0.75)
-
-
-def test_registry_kind_mismatch_raises():
-    reg = MetricsRegistry()
-    counter = Metric("c", COUNTER, "x", "d")
-    gauge = Metric("g", GAUGE, "x", "d")
-    with pytest.raises(ValueError):
-        reg.set(counter, 1)
-    with pytest.raises(ValueError):
-        reg.inc(gauge)
-    with pytest.raises(ValueError):
-        reg.observe(counter, 1.0)
+    assert reg.inc(FORKS) == 1
+    assert reg.inc(FORKS, 4) == 5
+    assert reg.get(FORKS) == 5
+    # Same wire name, but not the declared constant: refused, nothing counted.
+    with pytest.raises(ValueError, match="not a declared metric"):
+        reg.inc(Metric(FORKS.name, "processes", "an impostor"))
+    with pytest.raises(ValueError, match="not a declared metric"):
+        reg.inc(Metric("widgets", "widgets", "never declared"))
+    assert reg.snapshot() == {FORKS.name: 5}
 
 
 def test_snapshot_diff_reports_only_deltas():
     reg = MetricsRegistry()
-    a = Metric("a", COUNTER, "x", "d")
-    b = Metric("b", COUNTER, "x", "d")
-    reg.inc(a, 2)
+    reg.inc(FORKS, 2)
     before = reg.snapshot()
-    reg.inc(a, 3)
-    reg.inc(b)
+    reg.inc(FORKS, 3)
+    reg.inc(BATCHES)
     deltas = diff_snapshots(before, reg.snapshot())
-    assert deltas == {"a": 3, "b": 1}
+    assert deltas == {FORKS.name: 3, BATCHES.name: 1}
+
+
+def test_engine_stats_extra_is_a_read_only_view():
+    stats = EngineStats()
+    stats.inc(STORE_REPLAYED, 2)
+    assert stats.extra[STORE_REPLAYED.name] == 2
+    assert stats.get(STORE_REPLAYED) == 2
+    with pytest.raises(TypeError):
+        stats.extra["store_replayed"] = 7
+    with pytest.raises(AttributeError):
+        stats.extra = {}
+    # The view is live: later counts show through it.
+    view = stats.extra
+    stats.inc(STORE_REPLAYED)
+    assert view[STORE_REPLAYED.name] == 3
+    assert stats.as_dict() == {
+        "nodes_run": 0,
+        "evaluations": 0,
+        "evaluation_hits": 0,
+        "ball_extractions": 0,
+        "ball_hits": 0,
+        "store_replayed": 3,
+    }
+
+
+def test_engine_stats_inc_rejects_undeclared_metric():
+    stats = EngineStats()
+    with pytest.raises(ValueError, match="not a declared metric"):
+        stats.inc(Metric("store_replayd", "jobs", "a typo"))
+    assert "store_replayd" not in stats.extra
+    assert stats.as_dict()["evaluations"] == 0
 
 
 def test_pool_counters_come_from_the_registry():

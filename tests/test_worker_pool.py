@@ -6,9 +6,9 @@ pool re-forks lazily afterwards, so shutting it down never breaks later
 tests.  The load-bearing claims: workers survive across sweeps with zero
 re-forks, identical payloads are never re-shipped, a killed worker is
 replaced without losing a batch, shutdown is idempotent, unpicklable
-payloads fall back to fork inheritance, workers replay settled jobs from
-a read-only verdict store, and an adaptive engine routes a batch by its
-size alone, whatever ran before it.
+payloads fall back to fork inheritance, verdict-store replay happens in
+the parent only (workers never open the store), and an adaptive engine
+routes a batch by its size alone, whatever ran before it.
 """
 
 import os
@@ -28,6 +28,7 @@ from repro.engine import (
 )
 from repro.graphs import cycle_graph, path_graph
 from repro.local_model import NO, YES, FunctionIdObliviousAlgorithm
+from repro.obs.metrics import STORE_COMPUTED, STORE_REPLAYED
 
 
 class Deg2Decider:
@@ -203,39 +204,33 @@ def test_unpicklable_payload_falls_back_to_fork_inheritance(cold_pool):
 
 
 # ---------------------------------------------------------------------- #
-# Worker-side read-only store replay
+# Store replay stays in the parent
 # ---------------------------------------------------------------------- #
 
 
-def test_workers_replay_settled_jobs_from_store(cold_pool, tmp_path):
+def test_store_replay_happens_only_in_the_parent(cold_pool, tmp_path):
     decider = Deg2Decider()
     jobs = [(cycle_graph(n, label="x"), None) for n in (9, 10, 11, 12, 13, 14)]
+    store_dir = tmp_path / "store"
     # Settle every job on disk through a plain serial store wrapper.
-    with VerdictStore(tmp_path / "store") as store:
+    with VerdictStore(store_dir) as store:
         PersistentEngine(store, inner=CachedEngine()).run_many(decider, jobs)
-    # Reopen with a 1-entry memory front: the parent evicts nearly every
-    # entry, so the misses it delegates to the pool are jobs the *workers*
-    # can replay from disk (they open the store read-only, full-sized).
-    with VerdictStore(tmp_path / "store", max_memory_entries=1) as tiny_front:
-        inner = ParallelEngine(workers=2, adaptive=False)
-        engine = PersistentEngine(tiny_front, inner=inner)
-        outputs = engine.run_many(decider, jobs)
-        assert outputs == CachedEngine().run_many(decider, jobs)
-        worker_replays = engine.stats.extra.get("store_replayed", 0)
-        # The parent replayed at most one job from its tiny front; the rest
-        # came back from the workers' read-only mounts.
-        assert worker_replays >= len(jobs) - 1
-        # Workers never append to the store: no new segment files appeared.
-        segments = list((tmp_path / "store").glob("*.jsonl"))
-        assert len(segments) == 1
-
-
-def test_read_only_store_never_touches_disk(tmp_path):
-    store = VerdictStore(tmp_path / "ro", read_only=True)
-    store.put("digest", ["payload"])
-    assert store.get("digest") == ["payload"]
-    assert store.appends == 0
-    assert list((tmp_path / "ro").glob("*.jsonl")) == []
+    # The default front holds every entry; a 1-entry front evicts all but
+    # one, so five jobs miss in the parent and are sent to the inner engine.
+    for front in (100_000, 1):
+        seen = {}
+        for label, inner in (("serial", CachedEngine()), ("parallel", ParallelEngine(workers=2, adaptive=False))):
+            with VerdictStore(store_dir, max_memory_entries=front) as store:
+                engine = PersistentEngine(store, inner=inner)
+                outputs = engine.run_many(decider, jobs)
+            seen[label] = (outputs, engine.stats.get(STORE_REPLAYED), engine.stats.get(STORE_COMPUTED))
+            if label == "parallel" and front == 1:
+                assert engine.stats.extra["parallel_batches"] == 1  # the misses reached the pool
+        assert seen["parallel"] == seen["serial"]
+        _, replayed, computed = seen["serial"]
+        assert (replayed, computed) == ((len(jobs), 0) if front > 1 else (1, len(jobs) - 1))
+        # Nothing but the parent ever wrote to the store.
+        assert [p.name for p in store_dir.glob("*.jsonl")] == [f"segment-{os.getpid()}.jsonl"]
 
 
 # ---------------------------------------------------------------------- #
