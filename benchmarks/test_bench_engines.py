@@ -163,6 +163,9 @@ def test_bench_verify_decider_cached_speedup():
 
     speedup = t_direct / t_cached if t_cached > 0 else float("inf")
     speedup_interned = t_direct / t_interned if t_interned > 0 else float("inf")
+    # The first repeat is the cold one: the caching backend builds its ball
+    # collections and view keys there, which the warm best-of hides.
+    speedup_cold = times_interned[0] / times_cached[0] if times_cached[0] > 0 else float("inf")
     payload = {
         "workload": "verify_decider cycles-vs-paths",
         "sizes": list(_SIZES),
@@ -181,6 +184,7 @@ def test_bench_verify_decider_cached_speedup():
         },
         "speedup_direct_over_cached": round(speedup, 3),
         "speedup_interned_over_dict_direct": round(speedup_interned, 3),
+        "speedup_cached_over_direct_cold": round(speedup_cold, 3),
         "cached_engine_stats": cached.stats.as_dict(),
         "cached_store_stats": cached.cache_stats(),
         "verdicts_identical_across_backends": True,

@@ -11,8 +11,8 @@
   evaluation per ``(algorithm, view key)``;
 * :mod:`~repro.engine.interned` — the one production path for views and
   keys under both of the above: graphs interned into integer adjacency lists,
-  balls grown by one frontier BFS per centre, canonical keys as bytes of
-  canonicalised array slices.  The per-node dict path of
+  balls grown by one frontier BFS per centre, canonical keys as integer
+  tuples (identifier views ordered by identifier, no search).  The per-node dict path of
   :mod:`repro.graphs.neighbourhood` is the test oracle;
 * :class:`~repro.engine.parallel.ParallelEngine` — sweep sharding across
   the persistent :class:`~repro.engine.pool.WorkerPool` of warm caching

@@ -8,11 +8,12 @@ Three observations make it sound:
   assignment the verifier sweeps over;
 * a local algorithm is, by definition, a function of the isomorphism type
   of its view, so its output can be memoised per ``(algorithm, view key)``
-  where the key is the canonical bytes of
+  where the key is the canonical tuple of
   :func:`~repro.engine.interned.interned_view_key`: isomorphic balls (every
   node of a cycle, every interior node of a long path) are evaluated
-  exactly once.  A view whose key search exceeds its budget is evaluated
-  without memoising;
+  exactly once.  An identifier view is keyed by ordering its nodes by
+  identifier, with no search; an Id-oblivious view whose key search
+  exceeds its budget is evaluated without memoising;
 * a whole deterministic run is itself a pure function of
   ``(algorithm, graph, ids)`` — and of ``(algorithm, graph)`` alone for
   Id-oblivious algorithms — so complete output maps are memoised too.  This
@@ -183,15 +184,15 @@ class CachedEngine(ExecutionEngine):
     # ------------------------------------------------------------------ #
 
     def _view_key(self, algorithm: "LocalAlgorithm", view: Neighbourhood) -> Optional[Tuple]:
-        """The memo key of ``view``, or ``None`` when it has no exact canonical bytes key."""
+        """The memo key of ``view``, or ``None`` when it has no exact canonical key."""
         if not algorithm.uses_identifiers:
             kind, use_ids = "oblivious", False
         else:
             kind, use_ids = ("id", True) if view.ids is not None else ("bare", False)
-        key_bytes = interned_view_key(view, use_ids=use_ids)
-        if key_bytes is None:
+        key = interned_view_key(view, use_ids=use_ids)
+        if key is None:
             return None
-        return (kind, view.radius, self._keys.intern(key_bytes))
+        return (kind, self._keys.intern(key))
 
     def evaluate_view(self, algorithm: "LocalAlgorithm", view: Neighbourhood) -> Hashable:
         """Evaluate one view, memoised per ``(algorithm, canonical view key)``."""

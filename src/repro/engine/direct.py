@@ -9,7 +9,7 @@ semantics the rest of the package has always had.
 
 Batched jobs (:meth:`DirectEngine.run_many`, the seam ``verify_decider``
 and the campaign drivers submit through) take the interned path of
-:mod:`repro.engine.interned`: the graph is interned into integer arrays once,
+:mod:`repro.engine.interned`: the graph is interned into integer lists once,
 its ball table is grown once per radius, and identifier views reuse the
 shared ball topology across the whole assignment grid.  Each job's
 assignment is checked once to cover the graph; every view then gets a

@@ -1,10 +1,10 @@
-"""Interned-graph core: integer adjacency, frontier-BFS ball tables, bytes keys.
+"""Interned-graph core: integer adjacency, frontier-BFS ball tables, canonical keys.
 
 Every hot path in the package — the ``verify_decider`` grid fan-out, the
 adversarial hunts, the workload-matrix sweeps — bottoms out in extracting
 radius-``t`` balls and (for the caching backend) canonicalising them.  This
 module *interns* a :class:`~repro.graphs.labelled_graph.LabelledGraph` into
-compact integer arrays once and then serves every ball of every node of
+compact integer lists once and then serves every ball of every node of
 every assignment from them:
 
 * **Interning** (:func:`intern_graph`): nodes become dense indices
@@ -16,8 +16,8 @@ every assignment from them:
   per centre over the integer adjacency lists, cached per radius.  Centres
   whose balls have the same members share one induced subgraph.
 * **Canonical keys** (:func:`interned_view_key`): the caching engine's
-  memoisation keys are the lexicographically smallest byte encoding of the
-  ball's canonicalised arrays (``ndarray.tobytes()``).
+  memoisation keys, integer tuples — identifier views ordered by
+  identifier with no search, Id-oblivious views by a colour-class search.
 
 This is the only production path for views and keys.  The per-node dict
 path (:func:`~repro.graphs.neighbourhood.extract_neighbourhood`,
@@ -29,11 +29,10 @@ all 12 workload graph families and worker counts 1/2/4.
 
 from __future__ import annotations
 
-import struct
-from itertools import permutations, product
+from collections import Counter
+from itertools import chain, permutations, product
+from math import factorial, prod
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from ..errors import GraphError
 from ..graphs.labelled_graph import LabelledGraph, Node
@@ -56,7 +55,7 @@ __all__ = [
     "interned_view_key",
 ]
 
-#: Budgets of the canonical-key search, mirroring the thresholds of the
+#: Budgets of the Id-oblivious key search, mirroring the thresholds of the
 #: dict-based search in :mod:`repro.graphs.neighbourhood`: refine colours
 #: by 1-WL when the raw search exceeds ``_REFINEMENT_THRESHOLD`` orderings,
 #: and give up (return ``None``; the caller evaluates without memoising)
@@ -97,11 +96,11 @@ def _label_code(label: object) -> int:
 
 
 class InternedGraph:
-    """A :class:`LabelledGraph` flattened into compact integer arrays.
+    """A :class:`LabelledGraph` flattened into dense integer indices.
 
     ``nodes`` maps dense index → node name; ``adj_lists`` holds each
     node's neighbour indices sorted ascending; ``labels_list`` its label
-    and ``label_codes`` (an int64 array) its process-wide label code.
+    and ``label_codes`` its process-wide label code.
     Ball tables are computed lazily per radius and cached on the
     instance.
     """
@@ -120,7 +119,7 @@ class InternedGraph:
         self,
         source: LabelledGraph,
         nodes: Tuple[Node, ...],
-        label_codes: np.ndarray,
+        label_codes: List[int],
         adj_lists: List[List[int]],
         labels_list: List[object],
     ) -> None:
@@ -174,12 +173,12 @@ class InternedBall:
     ``members`` are ascending global node indices (a tuple);
     ``local_of`` maps global index → member-local index; ``graph`` is the
     shared induced :class:`LabelledGraph` handed to algorithms;
-    ``ball_nodes`` its nodes in member order.  The arrays the canonical-key
-    search needs (label codes, in-ball degrees, local edges) are built
-    lazily by :meth:`arrays` — the direct backend never pays for them.
+    ``ball_nodes`` its nodes in member order.  The lists the canonical
+    keys need are built lazily by :func:`_local_lists` and cached here, so
+    they are freed with the ball — the direct backend never pays for them.
     """
 
-    __slots__ = ("interned", "members", "local_of", "graph", "ball_nodes", "_arrays")
+    __slots__ = ("interned", "members", "local_of", "graph", "ball_nodes", "_local")
 
     def __init__(
         self,
@@ -194,48 +193,22 @@ class InternedBall:
         self.local_of = local_of
         self.graph = graph
         self.ball_nodes = ball_nodes
-        self._arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(label_codes, degrees, local_edges)`` for the canonical-key search.
-
-        ``label_codes`` and ``degrees`` are member-local int64 arrays;
-        ``local_edges`` is the ``(m, 2)`` array of intra-ball edges with
-        ``u < w`` in member-local indices.  Built once, cached.
-        """
-        if self._arrays is None:
-            interned = self.interned
-            local_of = self.local_of
-            degrees: List[int] = []
-            edges: List[Tuple[int, int]] = []
-            for l, g in enumerate(self.members):
-                kept = [local_of[h] for h in interned.adj_lists[g] if h in local_of]
-                degrees.append(len(kept))
-                edges.extend((l, lh) for lh in kept if l < lh)
-            label_codes = interned.label_codes[list(self.members)]
-            degree_arr = np.asarray(degrees, dtype=np.int64)
-            edge_arr = (
-                np.asarray(edges, dtype=np.int64) if edges else np.zeros((0, 2), dtype=np.int64)
-            )
-            self._arrays = (label_codes.astype(np.int64), degree_arr, edge_arr)
-        return self._arrays
+        self._local: Optional[Tuple[List[int], List[List[int]], List[Tuple[int, int]]]] = None
 
 
 class InternedView:
     """The interned payload one :class:`Neighbourhood` carries.
 
-    ``ball`` is the (possibly shared) :class:`InternedBall`;
-    ``center_local`` the centre's member-local index; ``dist_local`` the
-    member-local hop distances (a Python list).  The caching engine uses
-    this payload to compute array-based canonical keys
-    (:func:`interned_view_key`).
+    ``ball`` is the (possibly shared) :class:`InternedBall`; ``dist_local``
+    the member-local hop distances (a Python list), whose only 0 marks the
+    centre.  The caching engine uses this payload to compute canonical
+    keys (:func:`interned_view_key`).
     """
 
-    __slots__ = ("ball", "center_local", "dist_local")
+    __slots__ = ("ball", "dist_local")
 
-    def __init__(self, ball: InternedBall, center_local: int, dist_local: List[int]) -> None:
+    def __init__(self, ball: InternedBall, dist_local: List[int]) -> None:
         self.ball = ball
-        self.center_local = center_local
         self.dist_local = dist_local
 
 
@@ -250,7 +223,7 @@ _INTERN_CACHE = LRUStore(maxsize=256)
 
 
 def intern_graph(graph: LabelledGraph) -> InternedGraph:
-    """Intern ``graph`` into arrays, cached in a bounded process-wide LRU keyed by the graph."""
+    """Intern ``graph`` into integer lists, cached in a bounded process-wide LRU keyed by the graph."""
     interned = _INTERN_CACHE.get(graph)
     if interned is not None:
         global_metrics().inc(INTERN_CACHE_HITS)
@@ -268,7 +241,7 @@ def _build_interned(graph: LabelledGraph) -> InternedGraph:
     index = {v: i for i, v in enumerate(nodes)}
     adj_lists = [sorted(index[w] for w in graph.neighbours(v)) for v in nodes]
     labels_list = [graph.label(v) for v in nodes]
-    label_codes = np.fromiter((_label_code(lab) for lab in labels_list), dtype=np.int64, count=len(nodes))
+    label_codes = [_label_code(lab) for lab in labels_list]
     return InternedGraph(graph, nodes, label_codes, adj_lists, labels_list)
 
 
@@ -303,7 +276,7 @@ def interned_id_free_views(graph: LabelledGraph, radius: int) -> Dict[Node, Neig
 
     Centres whose balls coincide share one induced :class:`LabelledGraph`;
     every returned view carries an :class:`InternedView` payload for
-    array-based canonical keys.  An empty graph has no views.
+    canonical keys.  An empty graph has no views.
     """
     if radius < 0:
         raise GraphError(f"radius must be non-negative, got {radius}")
@@ -316,7 +289,7 @@ def interned_id_free_views(graph: LabelledGraph, radius: int) -> Dict[Node, Neig
         if ball is None:
             ball = balls[members] = _build_ball(interned, members)
         distances = dict(zip(ball.ball_nodes, dist_local))
-        payload = InternedView(ball, ball.local_of[ci], dist_local)
+        payload = InternedView(ball, dist_local)
         views[nodes[ci]] = Neighbourhood._from_trusted(
             ball.graph, nodes[ci], radius, distances, None, payload
         )
@@ -324,108 +297,125 @@ def interned_id_free_views(graph: LabelledGraph, radius: int) -> Dict[Node, Neig
 
 
 # ---------------------------------------------------------------------- #
-# Array-based canonical keys
+# Canonical keys
 # ---------------------------------------------------------------------- #
 
 
-def interned_view_key(view: Neighbourhood, use_ids: bool) -> Optional[bytes]:
-    """Compute an exact canonical key of an interned view as bytes, or ``None``.
+def _local_lists(ball: InternedBall) -> Tuple[List[int], List[List[int]], List[Tuple[int, int]]]:
+    """Return ``ball``'s member-local ``(label_codes, neighbours, edges)``, cached on the ball.
 
-    The key is the lexicographically smallest ``tobytes()`` encoding of the
-    ball's node-data and edge arrays over all orderings consistent with the
-    (possibly WL-refined) node colours — the array-native replacement for
-    :meth:`Neighbourhood.oblivious_key` / :meth:`Neighbourhood.structure_key`.
-    Equal keys hold exactly for centred-isomorphic views (labels, distances
-    and — with ``use_ids`` — identifiers preserved).  ``None`` means the
-    view carries no interned payload, its identifiers do not fit int64, or
-    the canonical search would exceed its budget; callers then evaluate
-    without memoising.
+    ``neighbours`` holds each member's in-ball neighbours, ascending;
+    ``edges`` the intra-ball edges as ``(u, w)`` pairs with ``u < w``.
+    """
+    if ball._local is None:
+        local_of = ball.local_of
+        adj_lists = ball.interned.adj_lists
+        label_codes = ball.interned.label_codes
+        neighbours = [[local_of[h] for h in adj_lists[g] if h in local_of] for g in ball.members]
+        edges = [(u, w) for u, row in enumerate(neighbours) for w in row if u < w]
+        ball._local = ([label_codes[g] for g in ball.members], neighbours, edges)
+    return ball._local
+
+
+def interned_view_key(view: Neighbourhood, use_ids: bool) -> Optional[Tuple]:
+    """Compute an exact canonical key of an interned view as an integer tuple, or ``None``.
+
+    Equal keys hold exactly for centred-isomorphic views (labels,
+    distances and — with ``use_ids`` — identifiers preserved), across
+    graphs.  With ``use_ids`` the key is ``(radius, (id, distance, label
+    code) per node, edge pairs)`` with nodes in identifier order: an
+    :class:`~repro.graphs.identifiers.IdAssignment` is one-to-one, so that
+    order is canonical — no search, identifiers of any size.  Without, it
+    is ``(radius, sorted colours, edge pairs)`` minimised over the node
+    orderings the colour classes allow (see :func:`_oblivious_key`).
+    ``None`` means the view carries no interned payload (or, with
+    ``use_ids``, no identifiers), or the Id-oblivious search would exceed
+    its budget; callers then evaluate without memoising.
     """
     payload: Optional[InternedView] = view.interned
     if payload is None:
         return None
     ball = payload.ball
-    label_codes, degrees, edges = ball.arrays()
-    k = len(ball.members)
-    center_onehot = np.zeros(k, dtype=np.int64)
-    center_onehot[payload.center_local] = 1
-    columns = [np.asarray(payload.dist_local, dtype=np.int64), label_codes, degrees, center_onehot]
-    if use_ids:
-        ids = view.ids
-        if ids is None:
-            return None
-        try:
-            columns.append(np.fromiter((ids[v] for v in ball.ball_nodes), dtype=np.int64, count=k))
-        except (KeyError, OverflowError):
-            return None
-    colour = np.stack(columns, axis=1)
-
-    # Colour classes (np.unique sorts rows, so class order is canonical —
-    # a pure function of the colour data, invariant under isomorphism).
-    _, class_ids = np.unique(colour, axis=0, return_inverse=True)
-    if _search_size(class_ids) > _REFINEMENT_THRESHOLD:
-        class_ids = _refine(class_ids, edges, k)
-    if _search_size(class_ids) > _MAX_SEARCH:
+    label_codes, neighbours, edges = _local_lists(ball)
+    dist = payload.dist_local
+    if not use_ids:
+        return _oblivious_key(view.radius, dist, label_codes, neighbours, edges)
+    ids = view.ids
+    if ids is None:
         return None
+    id_list = [ids[v] for v in ball.ball_nodes]
+    order = sorted(range(len(id_list)), key=id_list.__getitem__)
+    rank = [0] * len(order)
+    for r, local in enumerate(order):
+        rank[local] = r
+    nodes = tuple([(id_list[local], dist[local], label_codes[local]) for local in order])
+    return (view.radius, nodes, _renumbered(edges, rank))
 
+
+def _renumbered(edges: List[Tuple[int, int]], rank: List[int]) -> Tuple[Tuple[int, int], ...]:
+    """``edges`` with every node ``u`` renamed ``rank[u]``: pairs ascending, sorted."""
+    renamed = []
+    for u, w in edges:
+        ru, rw = rank[u], rank[w]
+        renamed.append((ru, rw) if ru < rw else (rw, ru))
+    renamed.sort()
+    return tuple(renamed)
+
+
+def _oblivious_key(
+    radius: int, dist: List[int], label_codes: List[int], neighbours: List[List[int]], edges: List[Tuple[int, int]]
+) -> Optional[Tuple]:
+    """The Id-oblivious key: colours ``(distance, label code, in-ball degree)``, searched by class.
+
+    The centre is the only node at distance 0.  Classes are refined by
+    1-WL when the search is large; the edge pairs are the smallest over
+    every ordering the classes allow.
+    """
+    colours = list(zip(dist, label_codes, map(len, neighbours)))
+    # Class ids follow the sorted colours, so class order is canonical — a
+    # pure function of the colour data, invariant under isomorphism.
+    table = {colour: cid for cid, colour in enumerate(sorted(set(colours)))}
+    class_ids = [table[colour] for colour in colours]
+    if _search_size(class_ids) > _REFINEMENT_THRESHOLD:
+        class_ids = _refine(class_ids, neighbours)
+        if _search_size(class_ids) > _MAX_SEARCH:
+            return None
     classes: Dict[int, List[int]] = {}
     for local, cid in enumerate(class_ids):
-        classes.setdefault(int(cid), []).append(local)
-    if any(len(members) > _MAX_CLASS for members in classes.values()):
-        return None
+        classes.setdefault(cid, []).append(local)
     ordered_classes = [classes[cid] for cid in sorted(classes)]
+    if any(len(members) > _MAX_CLASS for members in ordered_classes):
+        return None
 
-    best: Optional[bytes] = None
-    inverse = np.empty(k, dtype=np.int64)
+    # Refined classes only split colour classes, in colour order, so every
+    # ordering puts the nodes' colours in sorted order: only edges differ.
+    rank = [0] * len(colours)
+    best: Optional[Tuple[Tuple[int, int], ...]] = None
     for perm_lists in product(*[list(permutations(members)) for members in ordered_classes]):
-        ordering = [local for group in perm_lists for local in group]
-        order_arr = np.asarray(ordering, dtype=np.int64)
-        inverse[order_arr] = np.arange(k, dtype=np.int64)
-        data_bytes = np.ascontiguousarray(colour[order_arr]).tobytes()
-        if edges.size:
-            remapped = inverse[edges]
-            remapped.sort(axis=1)
-            remapped = remapped[np.lexsort((remapped[:, 1], remapped[:, 0]))]
-            edge_bytes = np.ascontiguousarray(remapped).tobytes()
-        else:
-            edge_bytes = b""
-        candidate = data_bytes + b"\x00" + edge_bytes
+        for r, local in enumerate(chain.from_iterable(perm_lists)):
+            rank[local] = r
+        candidate = _renumbered(edges, rank)
         if best is None or candidate < best:
             best = candidate
-    assert best is not None
-    header = struct.pack("<4sqqq", b"iv1\x00", view.radius, k, colour.shape[1])
-    return header + best
+    return (radius, tuple(sorted(colours)), best)
 
 
-def _search_size(class_ids: np.ndarray) -> int:
+def _search_size(class_ids: List[int]) -> int:
     """Number of orderings the canonical search would enumerate (product of class factorials)."""
-    total = 1
-    _, counts = np.unique(class_ids, return_counts=True)
-    for count in counts:
-        for factor in range(2, int(count) + 1):
-            total *= factor
-        if total > _MAX_SEARCH * 1024:
-            return total
-    return total
+    return prod(factorial(count) for count in Counter(class_ids).values())
 
 
-def _refine(class_ids: np.ndarray, edges: np.ndarray, k: int) -> np.ndarray:
+def _refine(class_ids: List[int], neighbours: List[List[int]]) -> List[int]:
     """1-WL refinement of colour classes by neighbour colour multisets (3 rounds)."""
-    neighbours: List[List[int]] = [[] for _ in range(k)]
-    for u, w in edges.tolist():
-        neighbours[u].append(w)
-        neighbours[w].append(u)
-    current = [int(c) for c in class_ids]
+    current = class_ids
     for _ in range(3):
         signatures = [
-            (current[local], tuple(sorted(current[nbr] for nbr in neighbours[local])))
-            for local in range(k)
+            (current[local], tuple(sorted(current[nbr] for nbr in row)))
+            for local, row in enumerate(neighbours)
         ]
-        table: Dict[Tuple, int] = {}
-        for signature in sorted(set(signatures)):
-            table[signature] = len(table)
+        table = {signature: cid for cid, signature in enumerate(sorted(set(signatures)))}
         refined = [table[signature] for signature in signatures]
         if refined == current:
             break
         current = refined
-    return np.asarray(current, dtype=np.int64)
+    return current

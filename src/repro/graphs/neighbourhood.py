@@ -59,8 +59,8 @@ class Neighbourhood:
     Notes
     -----
     Views produced by the interned core (:mod:`repro.engine.interned`)
-    additionally carry an ``interned`` payload — array-backed ball data the
-    caching engine uses to compute canonical bytes keys.  Views built
+    additionally carry an ``interned`` payload — integer ball data the
+    caching engine uses to compute canonical tuple keys.  Views built
     through the ordinary constructor have ``interned = None``; they behave
     identically, except that the caching engine does not memoise them.
     """
@@ -108,7 +108,7 @@ class Neighbourhood:
         Internal fast path for the interned core: ``distances`` must
         cover exactly the ball nodes and ``ids`` (when given) must already
         be restricted to them.  ``distances`` is adopted without copying;
-        ``interned`` attaches the array payload used for canonical keys.
+        ``interned`` attaches the payload used for canonical keys.
         """
         view = cls.__new__(cls)
         view.graph = graph

@@ -113,10 +113,21 @@ class MaximalMatchingDecider(IdObliviousAlgorithm):
 
 
 def greedy_matching(graph: LabelledGraph) -> LabelledGraph:
-    """Return a copy of the graph labelled with a greedily computed maximal matching."""
+    """Return a copy of the graph labelled with a greedily computed maximal matching.
+
+    Nodes are visited in insertion order and each takes its first unmatched
+    neighbour in insertion order, so the matching does not depend on the
+    iteration order of neighbour sets (which follows ``PYTHONHASHSEED``
+    for string node names).
+    """
+    index = {v: i for i, v in enumerate(graph.nodes())}
     matched: Dict[Node, Node] = {}
-    for (u, v) in graph.edges():
-        if u not in matched and v not in matched:
-            matched[u] = v
-            matched[v] = u
+    for u in graph.nodes():
+        if u in matched:
+            continue
+        for v in sorted(graph.neighbours(u), key=index.__getitem__):
+            if v not in matched:
+                matched[u] = v
+                matched[v] = u
+                break
     return encode_matching(graph, matched)

@@ -270,7 +270,7 @@ def test_cached_engine_does_not_memoise_wl_fallback_keys():
     # Non-isomorphic stars-of-cycles: an apex over one 10-cycle versus an
     # apex over two 5-cycles.  Both apex balls have a >8-node colour class,
     # so their oblivious keys take the collision-prone "wl-fallback" form
-    # and may compare equal, and their interned bytes keys exceed the
+    # and may compare equal, and their interned keys exceed the
     # search budget; the caching engine must not serve one view's output
     # for the other.
     def ring_graph(parts):
@@ -290,7 +290,7 @@ def test_cached_engine_does_not_memoise_wl_fallback_keys():
     two_rings = extract_neighbourhood(ring_graph([5, 5]), "apex", 1)
     assert one_ring.oblivious_key()[0] == "wl-fallback"
     # The same apex views as the caching engine itself produces them
-    # (interned payloads), whose bytes keys give up on the 10-node class.
+    # (interned payloads), whose keys give up on the 10-node class.
     interned_one = CachedEngine().views(ring_graph([10]), 1)["apex"]
     interned_two = CachedEngine().views(ring_graph([5, 5]), 1)["apex"]
     assert interned_view_key(interned_one, use_ids=False) is None

@@ -78,7 +78,7 @@ def test_interned_views_match_dict_extraction(g, radius):
 @given(small_graphs(), small_graphs(), st.integers(min_value=0, max_value=2))
 @settings(max_examples=30, deadline=None)
 def test_interned_canonical_keys_partition_like_dict_keys(g1, g2, radius):
-    # The bytes keys must induce exactly the same equivalence classes as
+    # The interned keys must induce exactly the same equivalence classes as
     # the dict-based canonical tuples — across views of different graphs.
     views = list(interned_id_free_views(g1, radius).values())
     views += list(interned_id_free_views(g2, radius).values())
@@ -89,16 +89,63 @@ def test_interned_canonical_keys_partition_like_dict_keys(g1, g2, radius):
             assert (key_a == key_b) == (view_a.oblivious_key() == view_b.oblivious_key())
 
 
-@given(small_graphs(), st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=9))
+@given(small_graphs(), st.integers(min_value=0, max_value=2), st.randoms(use_true_random=False))
 @settings(max_examples=30, deadline=None)
-def test_interned_id_keys_partition_like_structure_keys(g, radius, start):
-    ids = sequential_assignment(g, start=start)
-    views = [view.with_ids(ids) for view in interned_id_free_views(g, radius).values()]
+def test_interned_keys_survive_node_renaming(g, radius, rnd):
+    # The same graph with renamed nodes inserted in shuffled order: every
+    # view is isomorphic to its counterpart but lists its nodes in another
+    # order, so a key that depended on that order would differ.
+    order = list(g.nodes())
+    rnd.shuffle(order)
+    name = {v: ("renamed", i) for i, v in enumerate(order)}
+    edges = [(name[u], name[w]) for u, w in g.edges()]
+    rnd.shuffle(edges)
+    h = LabelledGraph([name[v] for v in order], edges, {name[v]: g.label(v) for v in order})
+    ids_g = sequential_assignment(g)
+    ids_h = IdAssignment({name[v]: i for v, i in ids_g.items()})
+    views_g = interned_id_free_views(g, radius)
+    views_h = interned_id_free_views(h, radius)
+    for v in g.nodes():
+        view_g, view_h = views_g[v], views_h[name[v]]
+        assert interned_view_key(view_g, use_ids=False) == interned_view_key(view_h, use_ids=False)
+        assert interned_view_key(view_g.with_ids(ids_g), use_ids=True) == interned_view_key(
+            view_h.with_ids(ids_h), use_ids=True
+        )
+
+
+@given(small_graphs(), small_graphs(), st.integers(min_value=0, max_value=2), st.sampled_from([0, 2**63]))
+@settings(max_examples=30, deadline=None)
+def test_interned_id_keys_partition_like_structure_keys(g1, g2, radius, start):
+    # Both graphs draw identifiers from the same range, so views of
+    # different graphs can carry equal identifiers and must then get equal
+    # keys exactly when they are isomorphic.  ``start=2**63`` is the
+    # unbounded (¬B) regime: identifiers beyond any fixed-width integer.
+    views = []
+    for g in (g1, g2):
+        ids = sequential_assignment(g, start=start)
+        views += [view.with_ids(ids) for view in interned_id_free_views(g, radius).values()]
     keyed = [(view, interned_view_key(view, use_ids=True)) for view in views]
-    keyed = [(view, key) for view, key in keyed if key is not None]
+    # Identifier views need no search, so every interned one gets a key.
+    assert all(view.interned is not None and key is not None for view, key in keyed)
     for i, (view_a, key_a) in enumerate(keyed):
         for view_b, key_b in keyed[i + 1 :]:
             assert (key_a == key_b) == (view_a.structure_key() == view_b.structure_key())
+
+
+def test_unbounded_identifiers_are_memoised_end_to_end():
+    # Model (¬B): identifiers at and beyond 2**63.  Cycles and paths with
+    # the same sequential identifiers share their interior views, so the
+    # per-view memo must serve them across graphs — with outputs identical
+    # to the unmemoised direct engine.
+    alg = FunctionAlgorithm(
+        lambda view: YES if view.max_visible_identifier() % 3 else NO, radius=1, name="big-id-mod-3"
+    )
+    cached, direct = CachedEngine(), DirectEngine()
+    for start in (2**63, 2**64 + 5):
+        for graph in (cycle_graph(9, label="x"), path_graph(9, label="x"), path_graph(12, label="x")):
+            ids = sequential_assignment(graph, start=start)
+            assert cached.run(alg, graph, ids) == direct.run(alg, graph, ids)
+    assert cached.stats.evaluation_hits > 0
 
 
 # ---------------------------------------------------------------------- #

@@ -1,5 +1,9 @@
 """Unit tests for the classic property library (colouring, MIS, matching, planarity, paths, heredity)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.decision import verify_decider
@@ -47,6 +51,31 @@ def test_matching_property_and_decider():
     assert verify_decider(MaximalMatchingDecider(), prop).correct
     g = greedy_matching(grid_graph(3, 3))
     assert prop.contains(g)
+
+
+def test_greedy_matching_does_not_depend_on_pythonhashseed():
+    # Caterpillar legs are named ("leg", i, j): their neighbour sets iterate
+    # in a hash-seed-dependent order, which must not change the matching.
+    script = (
+        "import sys; sys.path.insert(0, 'src')\n"
+        "from repro.graphs import caterpillar_graph\n"
+        "from repro.properties import greedy_matching\n"
+        "for s in range(20):\n"
+        "    g = greedy_matching(caterpillar_graph(12, seed=s))\n"
+        "    print([(v, g.label(v)) for v in g.nodes()])\n"
+    )
+    outputs = set()
+    for hash_seed in ("1", "2", "3", "4"):
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.add(result.stdout)
+    assert len(outputs) == 1
 
 
 def test_planarity_property():
