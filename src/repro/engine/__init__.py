@@ -14,14 +14,14 @@
   balls grown by one frontier BFS per centre, canonical keys as integer
   tuples (identifier views ordered by identifier, no search).  The per-node dict path of
   :mod:`repro.graphs.neighbourhood` is the test oracle;
-* :class:`~repro.engine.parallel.ParallelEngine` — sweep sharding across
-  the persistent :class:`~repro.engine.pool.WorkerPool` of warm caching
-  workers.  One rule routes each batch: two or more jobs on a forking
-  multi-worker engine go to the pool, and an ``adaptive`` engine (the
-  default) additionally needs ``nodes x (radius + 1)`` summed over the
-  batch to reach :data:`~repro.engine.parallel.POOL_MIN_UNITS`.  Chunks
-  are contiguous, so verdicts match the serial backends for any worker
-  count;
+* :class:`~repro.engine.parallel.ParallelEngine` — job-list sharding
+  across the persistent :class:`~repro.engine.pool.WorkerPool` of warm
+  caching workers (single-graph runs stay in-process).  One rule routes
+  each job list: two or more jobs on a forking multi-worker engine go to
+  the pool, and an ``adaptive`` engine (the default) additionally needs
+  ``nodes x (radius + 1)`` summed over the list to reach
+  :data:`~repro.engine.parallel.POOL_MIN_UNITS`.  Chunks are contiguous,
+  so verdicts match the serial backends for any worker count;
 * :class:`~repro.engine.persistent.PersistentEngine` — cross-run
   persistence: wraps any backend (``engine.with_store(path)``) with an
   on-disk :class:`~repro.engine.persistent.VerdictStore` so settled jobs

@@ -6,9 +6,10 @@ campaign runs over whole scenario grids — are embarrassingly parallel: the
 jobs share no state beyond the (immutable) input graphs and algorithms.
 :class:`ParallelEngine` fans the batched drivers
 (:meth:`~repro.engine.base.ExecutionEngine.run_many`,
-:meth:`~repro.engine.base.ExecutionEngine.run_randomised_many`) and large
-single-graph runs out over the process-wide persistent
-:class:`~repro.engine.pool.WorkerPool`:
+:meth:`~repro.engine.base.ExecutionEngine.run_randomised_many`) out over
+the process-wide persistent :class:`~repro.engine.pool.WorkerPool`.  Only
+job lists reach the pool; a single-graph ``run`` or ``run_randomised``
+always runs in-process:
 
 * **persistent, warm workers** — workers are forked once per process and
   live across batches, sweeps, campaign scenarios and engine instances;
@@ -21,18 +22,17 @@ single-graph runs out over the process-wide persistent
   Unpicklable payloads (lambda-based algorithms) are inherited through
   copy-on-write memory by re-forked workers instead, visible in the
   ``parallel_forks`` counter;
-* **one routing rule** — a batch with fewer than two jobs (or nodes, for a
-  single-graph run), a one-worker engine, or a process that cannot fork
-  runs in-process.  Otherwise ``adaptive=False`` sends it to the pool, and
-  ``adaptive=True`` (the default) sends it there only when its work units,
-  ``nodes x (radius + 1)`` summed over the batch, reach
-  :data:`POOL_MIN_UNITS`.  The rule reads nothing but the batch, so the
-  same batch routes the same way whatever ran before it;
+* **one routing rule** — a batch with fewer than two jobs, a one-worker
+  engine, or a process that cannot fork runs in-process.  Otherwise
+  ``adaptive=False`` sends it to the pool, and ``adaptive=True`` (the
+  default) sends it there only when its work units, ``nodes x (radius +
+  1)`` summed over the batch, reach :data:`POOL_MIN_UNITS`.  The rule
+  reads nothing but the batch, so the same batch routes the same way
+  whatever ran before it;
 * **deterministic work partitioning** — jobs are split into contiguous
-  chunks of *global* indices, results are re-assembled in job order and
-  randomised per-node seeds derive from ``(run seed, global index)`` via
-  :func:`~repro.engine.base.derive_node_seed`, so verdicts are identical
-  to the serial backends for any worker count — the equivalence suite
+  chunks of *global* indices and results are re-assembled in job order;
+  a randomised job carries its own seed, so verdicts are identical to
+  the serial backends for any worker count — the equivalence suite
   asserts this;
 * **no store in the workers** — a wrapping
   :class:`~repro.engine.persistent.PersistentEngine` replays settled jobs
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import random
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -57,7 +56,7 @@ from ..graphs.neighbourhood import Neighbourhood
 from ..obs import trace
 from ..obs.metrics import POOL_COUNTERS, diff_snapshots
 from .base import EngineStats, ExecutionEngine
-from .pool import PoolPayload, WorkerCrashError, get_pool, shared_local_engine, shutdown_pool
+from .pool import PoolPayload, WorkerCrashError, get_pool, run_job, shared_local_engine, shutdown_pool
 
 if TYPE_CHECKING:  # type-only; keeps engine ↔ local_model import-cycle-free
     from ..local_model.algorithm import LocalAlgorithm, RandomisedLocalAlgorithm
@@ -99,7 +98,7 @@ def partition_chunks(count: int, shards: int) -> List[range]:
 
 
 class ParallelEngine(ExecutionEngine):
-    """Shard sweeps over the persistent pool of warm caching workers.
+    """Shard job lists over the persistent pool of warm caching workers.
 
     Parameters
     ----------
@@ -107,9 +106,9 @@ class ParallelEngine(ExecutionEngine):
         Number of pool workers to shard over.  Defaults to the machine's
         CPU count (capped at 8).  ``workers=1`` never uses the pool.
     adaptive:
-        ``True`` (the default) sends a batch of two or more jobs (or
-        nodes) to the pool only when its work units reach
-        :data:`POOL_MIN_UNITS`; ``False`` sends every such batch to the
+        ``True`` (the default) sends a batch of two or more jobs to the
+        pool only when its work units reach :data:`POOL_MIN_UNITS`;
+        ``False`` sends every such batch to the
         pool (tests and measurements use this to exercise the pool on
         small inputs).
 
@@ -162,29 +161,30 @@ class ParallelEngine(ExecutionEngine):
             return False
         return True
 
-    def _pool_shards(self, count: int, graph_nodes: int, **payload) -> Optional[List]:
-        """Route one batch of ``count`` jobs (or nodes) spanning ``graph_nodes`` nodes.
+    def _pool_shards(self, algorithm, jobs: List[Tuple]) -> Optional[List]:
+        """Route one job list: its outputs in job order when it ran on the pool.
 
-        Returns the per-chunk outputs when the batch ran on the pool, or
-        ``None`` when it belongs in-process (or the pool could not run it).
-        ``payload`` holds the :class:`~repro.engine.pool.PoolPayload` fields.
+        Returns ``None`` when the list belongs in-process (or the pool could
+        not run it).
         """
-        if count < 2 or not self._can_fork():
+        if len(jobs) < 2 or not self._can_fork():
             return None
-        if self.adaptive and graph_nodes * (payload["algorithm"].radius + 1) < POOL_MIN_UNITS:
-            return None
-        return self._fan_out(PoolPayload(**payload), count)
+        if self.adaptive:
+            nodes = sum(job[0].num_nodes() for job in jobs)
+            if nodes * (algorithm.radius + 1) < POOL_MIN_UNITS:
+                return None
+        return self._fan_out(PoolPayload(algorithm, jobs))
 
     # -- pool plumbing ----------------------------------------------------- #
 
-    def _fan_out(self, payload: PoolPayload, count: int) -> Optional[List]:
-        """Run ``count`` jobs' chunks on the persistent pool.
+    def _fan_out(self, payload: PoolPayload) -> Optional[List]:
+        """Run the payload's jobs in chunks on the persistent pool.
 
-        Returns per-chunk outputs in chunk order, or ``None`` when the
-        pool could not run the batch (callers fall back to in-process
-        execution).  Algorithm errors raised inside workers propagate.
+        Returns the outputs in job order, or ``None`` when the pool could
+        not run the batch (callers fall back to in-process execution).
+        Algorithm errors raised inside workers propagate.
         """
-        chunks = partition_chunks(count, self.workers)
+        chunks = partition_chunks(len(payload.jobs), self.workers)
         workers = len(chunks)
         pool = get_pool()
         tracer = trace.active()
@@ -210,7 +210,8 @@ class ParallelEngine(ExecutionEngine):
                 self.stats.inc(metric, deltas[metric.name])
         merged: List = []
         for outputs, worker_stats in replies:
-            merged.append(outputs)
+            # Chunks are contiguous and in order: concatenation is job order.
+            merged.extend(outputs)
             self._absorb_stats(worker_stats)
         return merged
 
@@ -220,21 +221,8 @@ class ParallelEngine(ExecutionEngine):
         for name in EngineStats.FIELDS:
             setattr(self.stats, name, getattr(self.stats, name) + worker_stats[name])
 
-    @staticmethod
-    def _by_node(chosen: List[Node], shards: List) -> Dict[Node, Hashable]:
-        """Merge per-chunk node->output maps back into ``chosen`` order."""
-        outputs: Dict[Node, Hashable] = {}
-        for shard in shards:
-            outputs.update(shard)
-        return {v: outputs[v] for v in chosen}
-
-    @staticmethod
-    def _in_job_order(shards: List) -> List:
-        """Concatenate per-chunk output lists (chunks are contiguous, in order)."""
-        return [out for outputs in shards for out in outputs]
-
-    # -- sharded drivers (cores; the public drivers in the base class
-    #    wrap each call in exactly one span) ------------------------------- #
+    # -- drivers (cores; the public drivers in the base class wrap each
+    #    call in exactly one span) ---------------------------------------- #
 
     def _run_core(
         self,
@@ -243,19 +231,9 @@ class ParallelEngine(ExecutionEngine):
         ids: Optional[IdAssignment] = None,
         nodes: Optional[Iterable[Node]] = None,
     ) -> Dict[Node, Hashable]:
-        """Run one deterministic whole-graph job, sharding its nodes across workers when the routing rule says so."""
-        chosen = list(nodes) if nodes is not None else list(graph.nodes())
-        if not chosen:
-            return {}
-        use_ids = self._ids_for(algorithm, ids)
-        shards = self._pool_shards(
-            len(chosen), len(chosen), kind="run", algorithm=algorithm, graph=graph, ids=use_ids, nodes=chosen
-        )
-        if shards is not None:
-            return self._by_node(chosen, shards)
+        """Run one deterministic job in-process on the shared warm engine."""
         with self._borrow_inner() as inner:
-            # Preserve nodes=None so the inner engine's whole-run memo applies.
-            return inner.run(algorithm, graph, ids, nodes=None if nodes is None else chosen)
+            return inner.run(algorithm, graph, ids, nodes)
 
     def _run_randomised_core(
         self,
@@ -265,60 +243,36 @@ class ParallelEngine(ExecutionEngine):
         seed: Optional[int] = None,
         nodes: Optional[Iterable[Node]] = None,
     ) -> Dict[Node, Hashable]:
-        """Run one randomised job with per-node seeds, sharded like :meth:`run`."""
-        chosen = list(nodes) if nodes is not None else list(graph.nodes())
-        if not chosen:
-            return {}
-        use_ids = self._ids_for(algorithm, ids)
-        base = seed if seed is not None else random.randrange(2**63)
-        shards = self._pool_shards(
-            len(chosen),
-            len(chosen),
-            kind="run_randomised",
-            algorithm=algorithm,
-            graph=graph,
-            ids=use_ids,
-            nodes=chosen,
-            base_seed=base,
-        )
-        if shards is not None:
-            return self._by_node(chosen, shards)
+        """Run one randomised job in-process on the shared warm engine."""
         with self._borrow_inner() as inner:
-            # Preserve nodes=None so an explicit-seed whole run stays a
-            # memoisable unit for wrapping stores (mirrors run()).
-            return inner.run_randomised(algorithm, graph, use_ids, base, nodes=None if nodes is None else chosen)
+            return inner.run_randomised(algorithm, graph, ids, seed, nodes)
+
+    def _run_jobs(self, algorithm, jobs: Iterable[Tuple]) -> List[Dict[Node, Hashable]]:
+        """Run a job list on the pool when the routing rule says so, else in-process."""
+        jobs = list(jobs)
+        if not jobs:
+            return []
+        outputs = self._pool_shards(algorithm, jobs)
+        if outputs is not None:
+            return outputs
+        with self._borrow_inner() as inner:
+            return [run_job(inner, algorithm, job) for job in jobs]
 
     def _run_many_core(
         self,
         algorithm: "LocalAlgorithm",
         jobs: Sequence[Tuple[LabelledGraph, Optional[IdAssignment]]],
     ) -> List[Dict[Node, Hashable]]:
-        """Shard a deterministic ``(graph, ids)`` job list across the worker pool, in job order."""
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        nodes = sum(graph.num_nodes() for graph, _ in jobs)
-        shards = self._pool_shards(len(jobs), nodes, kind="run_many", algorithm=algorithm, jobs=jobs)
-        if shards is not None:
-            return self._in_job_order(shards)
-        with self._borrow_inner() as inner:
-            return [inner.run(algorithm, graph, ids) for graph, ids in jobs]
+        """Run a deterministic ``(graph, ids)`` job list, in job order."""
+        return self._run_jobs(algorithm, jobs)
 
     def _run_randomised_many_core(
         self,
         algorithm: "RandomisedLocalAlgorithm",
         jobs: Sequence[Tuple[LabelledGraph, Optional[IdAssignment], int]],
     ) -> List[Dict[Node, Hashable]]:
-        """Shard a randomised ``(graph, ids, seed)`` job list across the worker pool, in job order."""
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        nodes = sum(graph.num_nodes() for graph, _, _ in jobs)
-        shards = self._pool_shards(len(jobs), nodes, kind="run_randomised_many", algorithm=algorithm, jobs=jobs)
-        if shards is not None:
-            return self._in_job_order(shards)
-        with self._borrow_inner() as inner:
-            return [inner.run_randomised(algorithm, graph, ids, seed) for graph, ids, seed in jobs]
+        """Run a randomised ``(graph, ids, seed)`` job list, in job order."""
+        return self._run_jobs(algorithm, jobs)
 
     # -- single-view primitives (always in-process) ------------------------- #
 

@@ -56,6 +56,7 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -678,6 +679,40 @@ class PersistentEngine(ExecutionEngine):
 
     # -- persistent drivers (cores; base public drivers span each call) ---- #
 
+    def _through_store(
+        self,
+        algorithm: Any,
+        jobs: Sequence[Tuple],
+        compute: Callable[[List[Tuple]], List[Dict[Node, Hashable]]],
+    ) -> List[Dict[Node, Hashable]]:
+        """Replay the jobs the store holds; compute the rest as one batch and persist them.
+
+        A job is ``(graph, ids)`` or ``(graph, ids, seed)``.  ``compute``
+        receives the missing jobs in job order and returns their outputs,
+        so a sharding inner engine still sees the whole miss list at once.
+        """
+        results: List[Optional[Dict[Node, Hashable]]] = [None] * len(jobs)
+        missing: List[int] = []
+        digests: List[Optional[str]] = []
+        with trace.span("store.lookup", jobs=len(jobs)) as sp:
+            for k, job in enumerate(jobs):
+                graph, ids = job[0], job[1]
+                seed = job[2] if len(job) == 3 else None
+                digest = self._digest(algorithm, graph, self._ids_for(algorithm, ids), seed)
+                digests.append(digest)
+                replayed = self._replay(digest, graph)
+                if replayed is None:
+                    missing.append(k)
+                else:
+                    results[k] = replayed
+            sp.add(replayed=len(jobs) - len(missing))
+        if missing:
+            computed = compute([jobs[k] for k in missing])
+            for k, outputs in zip(missing, computed):
+                results[k] = outputs
+                self._persist(digests[k], jobs[k][0], outputs)
+        return results  # type: ignore[return-value]
+
     def _run_core(
         self,
         algorithm: "LocalAlgorithm",
@@ -688,13 +723,7 @@ class PersistentEngine(ExecutionEngine):
         """Run one deterministic job, replaying it from the verdict store when possible."""
         if nodes is not None:
             return self.inner.run(algorithm, graph, ids, nodes)
-        digest = self._digest(algorithm, graph, self._ids_for(algorithm, ids))
-        replayed = self._replay(digest, graph)
-        if replayed is not None:
-            return replayed
-        outputs = self.inner.run(algorithm, graph, ids)
-        self._persist(digest, graph, outputs)
-        return outputs
+        return self._through_store(algorithm, [(graph, ids)], lambda _: [self.inner.run(algorithm, graph, ids)])[0]
 
     def _run_randomised_core(
         self,
@@ -709,13 +738,9 @@ class PersistentEngine(ExecutionEngine):
             # Without an explicit seed the run is not a pure function of
             # its arguments; it must not be replayed.
             return self.inner.run_randomised(algorithm, graph, ids, seed, nodes)
-        digest = self._digest(algorithm, graph, self._ids_for(algorithm, ids), seed)
-        replayed = self._replay(digest, graph)
-        if replayed is not None:
-            return replayed
-        outputs = self.inner.run_randomised(algorithm, graph, ids, seed)
-        self._persist(digest, graph, outputs)
-        return outputs
+        return self._through_store(
+            algorithm, [(graph, ids, seed)], lambda _: [self.inner.run_randomised(algorithm, graph, ids, seed)]
+        )[0]
 
     def _run_many_core(
         self,
@@ -723,26 +748,7 @@ class PersistentEngine(ExecutionEngine):
         jobs: Sequence[Tuple[LabelledGraph, Optional[IdAssignment]]],
     ) -> List[Dict[Node, Hashable]]:
         """Replay what the store already holds; batch only the missing jobs to the inner engine."""
-        jobs = list(jobs)
-        results: List[Optional[Dict[Node, Hashable]]] = [None] * len(jobs)
-        missing: List[int] = []
-        digests: List[Optional[str]] = []
-        with trace.span("store.lookup", jobs=len(jobs)) as sp:
-            for k, (graph, ids) in enumerate(jobs):
-                digest = self._digest(algorithm, graph, self._ids_for(algorithm, ids))
-                digests.append(digest)
-                replayed = self._replay(digest, graph)
-                if replayed is None:
-                    missing.append(k)
-                else:
-                    results[k] = replayed
-            sp.add(replayed=len(jobs) - len(missing))
-        if missing:
-            computed = self.inner.run_many(algorithm, [jobs[k] for k in missing])
-            for k, outputs in zip(missing, computed):
-                results[k] = outputs
-                self._persist(digests[k], jobs[k][0], outputs)
-        return results  # type: ignore[return-value]
+        return self._through_store(algorithm, list(jobs), lambda missing: self.inner.run_many(algorithm, missing))
 
     def _run_randomised_many_core(
         self,
@@ -750,26 +756,9 @@ class PersistentEngine(ExecutionEngine):
         jobs: Sequence[Tuple[LabelledGraph, Optional[IdAssignment], int]],
     ) -> List[Dict[Node, Hashable]]:
         """Seeded randomised batch: replay stored jobs, compute and persist the rest."""
-        jobs = list(jobs)
-        results: List[Optional[Dict[Node, Hashable]]] = [None] * len(jobs)
-        missing: List[int] = []
-        digests: List[Optional[str]] = []
-        with trace.span("store.lookup", jobs=len(jobs)) as sp:
-            for k, (graph, ids, seed) in enumerate(jobs):
-                digest = self._digest(algorithm, graph, self._ids_for(algorithm, ids), seed)
-                digests.append(digest)
-                replayed = self._replay(digest, graph)
-                if replayed is None:
-                    missing.append(k)
-                else:
-                    results[k] = replayed
-            sp.add(replayed=len(jobs) - len(missing))
-        if missing:
-            computed = self.inner.run_randomised_many(algorithm, [jobs[k] for k in missing])
-            for k, outputs in zip(missing, computed):
-                results[k] = outputs
-                self._persist(digests[k], jobs[k][0], outputs)
-        return results  # type: ignore[return-value]
+        return self._through_store(
+            algorithm, list(jobs), lambda missing: self.inner.run_randomised_many(algorithm, missing)
+        )
 
     def __repr__(self) -> str:
         return f"PersistentEngine(store={self.store!r}, inner={self.inner!r})"

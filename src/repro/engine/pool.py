@@ -7,10 +7,14 @@
   computed).  Workers survive across batches, sweeps, campaign scenarios
   and engine instances; the fork tax is paid once per process, not once
   per batch.
-* **Generation-tagged payload shipping** — a batch's payload (algorithm +
-  jobs) is pickled once and shipped to a worker only when that worker does
-  not already hold the current generation; repeated sweeps over the same
-  job list re-use the previous generation and ship nothing but chunk
+* **One payload shape** — a batch is an algorithm plus a job list, each
+  job ``(graph, ids)`` (deterministic) or ``(graph, ids, seed)``
+  (randomised, the seed carried in the job); a worker runs each job it is
+  sent through its engine's ``run`` or ``run_randomised``.
+* **Generation-tagged payload shipping** — a batch's payload is pickled
+  once and shipped to a worker only when that worker does not already
+  hold the current generation; repeated sweeps over the same job list
+  re-use the previous generation and ship nothing but chunk
   indices.  Payloads that cannot be pickled (lambda- and closure-based
   algorithms) are shipped by re-forking the needed workers with the
   payload published in a module global first, so fork inheritance hands
@@ -29,7 +33,8 @@
   measured quick-matrix speedup comes from.
   Because workers run ``CachedEngine``s, they use the interned-graph
   path (:mod:`repro.engine.interned`) — each worker interns a graph once
-  and serves every sharded chunk of the sweep from the same ball tables.
+  and serves every job of the sweep on that graph from the same ball
+  tables.
 
 Which batches reach the pool is decided by
 :class:`~repro.engine.parallel.ParallelEngine`; this module only runs them.
@@ -111,22 +116,16 @@ def reset_shared_local_engine() -> None:
 
 @dataclass
 class PoolPayload:
-    """One batch's work description, shipped to workers at most once.
+    """One batch's work, shipped to workers at most once.
 
-    ``kind`` selects the driver (``run`` / ``run_randomised`` over one
-    graph's node list, ``run_many`` / ``run_randomised_many`` over a job
-    list); chunks are ``range`` objects of *global* indices into
-    ``nodes`` / ``jobs``, so any split into chunks executes identically
-    (randomised per-node seeds derive from the global index).
+    A job is ``(graph, ids)`` for a deterministic algorithm or ``(graph,
+    ids, seed)`` for a randomised one.  Chunks are ``range`` objects of
+    global indices into ``jobs``, so any split into chunks executes
+    identically.
     """
 
-    kind: str  # "run" | "run_randomised" | "run_many" | "run_randomised_many"
     algorithm: Any
-    graph: Any = None
-    ids: Any = None
-    nodes: Optional[List[Any]] = None
-    base_seed: Optional[int] = None
-    jobs: Optional[Sequence[Tuple]] = None
+    jobs: Sequence[Tuple]
 
 
 def _same_payload(a: PoolPayload, b: PoolPayload) -> bool:
@@ -136,25 +135,18 @@ def _same_payload(a: PoolPayload, b: PoolPayload) -> bool:
     algorithm and the same job objects must not re-ship the payload.
     Identity is sound because graphs and assignments are immutable.
     """
-    if a.kind != b.kind or a.algorithm is not b.algorithm:
+    if a.algorithm is not b.algorithm or len(a.jobs) != len(b.jobs):
         return False
-    if a.graph is not b.graph or a.ids is not b.ids or a.base_seed != b.base_seed:
-        return False
-    if (a.nodes is None) != (b.nodes is None) or (a.jobs is None) != (b.jobs is None):
-        return False
-    if a.nodes is not None:
-        if a.nodes is not b.nodes and (
-            len(a.nodes) != len(b.nodes) or any(x is not y for x, y in zip(a.nodes, b.nodes))
-        ):
-            return False
-    if a.jobs is not None:
-        if a.jobs is not b.jobs:
-            if len(a.jobs) != len(b.jobs):
-                return False
-            for x, y in zip(a.jobs, b.jobs):
-                if x is not y and any(p is not q for p, q in zip(x, y)):
-                    return False
-    return True
+    return all(
+        x is y or (len(x) == len(y) and all(p is q for p, q in zip(x, y))) for x, y in zip(a.jobs, b.jobs)
+    )
+
+
+def run_job(engine, algorithm, job: Tuple):
+    """Run one ``(graph, ids)`` or ``(graph, ids, seed)`` job on ``engine``."""
+    if len(job) == 3:
+        return engine.run_randomised(algorithm, *job)
+    return engine.run(algorithm, *job)
 
 
 # ---------------------------------------------------------------------- #
@@ -169,43 +161,14 @@ _INHERITED: Optional[Tuple[int, PoolPayload]] = None
 
 
 def _execute_chunk(engine, payload: PoolPayload, chunk: range):
-    """Execute one chunk of global indices; return ``(outputs, stats)``.
+    """Run one chunk of global job indices; return ``(outputs, stats)``.
 
-    Mirrors the serial drivers exactly: deterministic runs evaluate the
-    chunk's nodes/jobs through the (caching) engine, randomised runs seed
-    node ``i`` of the *full* node list from ``(base_seed, i)`` no matter
-    which worker or chunk evaluates it.
+    Each job runs through the worker's caching engine exactly as the
+    serial drivers run it; a randomised job carries its own seed, so its
+    outputs do not depend on which worker or chunk runs it.
     """
-    import random
-
-    from .base import derive_node_seed
-
     engine.reset_stats()
-    algorithm = payload.algorithm
-    if payload.kind == "run":
-        nodes = [payload.nodes[i] for i in chunk]
-        outputs = engine.run(algorithm, payload.graph, payload.ids, nodes=nodes)
-    elif payload.kind == "run_randomised":
-        nodes = [payload.nodes[i] for i in chunk]
-        view_map = engine.views(payload.graph, algorithm.radius, payload.ids, nodes)
-        outputs = {}
-        for index, v in zip(chunk, nodes):
-            rng = random.Random(derive_node_seed(payload.base_seed, index))
-            engine.stats.nodes_run += 1
-            engine.stats.evaluations += 1
-            outputs[v] = algorithm.evaluate(view_map[v], rng)
-    elif payload.kind == "run_many":
-        outputs = []
-        for i in chunk:
-            graph, ids = payload.jobs[i]
-            outputs.append(engine.run(algorithm, graph, ids))
-    elif payload.kind == "run_randomised_many":
-        outputs = []
-        for i in chunk:
-            graph, ids, seed = payload.jobs[i]
-            outputs.append(engine.run_randomised(algorithm, graph, ids, seed))
-    else:  # pragma: no cover - defensive
-        raise ValueError(f"unknown payload kind {payload.kind!r}")
+    outputs = [run_job(engine, payload.algorithm, payload.jobs[i]) for i in chunk]
     return outputs, engine.stats.as_dict()
 
 
@@ -355,7 +318,7 @@ class WorkerPool:
 
     @property
     def coalesced_batches(self) -> int:
-        """Lifetime job-list batches with more jobs than chunks (``coalesced_batches``)."""
+        """Lifetime batches with more jobs than chunks (``coalesced_batches``)."""
         return int(self.metrics.get(COALESCED_BATCHES))
 
     @property
@@ -528,9 +491,8 @@ class WorkerPool:
             raise failure
         self.metrics.inc(BATCHES)
         self.metrics.inc(CHUNKS, len(chunks))
-        if payload.kind in ("run_many", "run_randomised_many") and payload.jobs is not None:
-            if len(payload.jobs) > len(chunks):
-                self.metrics.inc(COALESCED_BATCHES)
+        if len(payload.jobs) > len(chunks):
+            self.metrics.inc(COALESCED_BATCHES)
         return results  # type: ignore[return-value]
 
     def _dispatch(

@@ -9,8 +9,12 @@ garbled lines from killed workers), rebuilds the span tree from
   children of a fan-out span run concurrently, so self-time of parallel
   dispatch spans reads as "time not accounted to any worker"),
 * per-job latency percentiles over *leaf* job spans — spans whose kind
-  ends in ``.run`` / ``.run_randomised`` with no same-shaped child, so a
-  ``persistent.run`` wrapping a ``cached.run`` counts once,
+  ends in ``.run`` / ``.run_randomised`` with no job span below them, so
+  a ``persistent.run`` wrapping a ``cached.run`` counts once.  A leaf
+  batch span (``.run_many`` / ``.run_randomised_many`` with no job span
+  below it, as ``direct.run_many`` runs its jobs unspanned) counts as its
+  ``jobs`` attribute, each at the batch's duration divided by its job
+  count,
 * the replay/compute breakdown summed from ``campaign.scenario`` span
   attributes — by construction these equal the campaign report's
   ``jobs_replayed`` / ``jobs_computed`` totals,
@@ -38,6 +42,9 @@ __all__ = [
 
 #: Span kinds with these suffixes time one verification job end-to-end.
 _JOB_SUFFIXES = (".run", ".run_randomised")
+
+#: Span kinds with these suffixes time a batch of jobs (``jobs`` attribute).
+_BATCH_SUFFIXES = (".run_many", ".run_randomised_many")
 
 #: Kind prefixes that are orchestration, not jobs — ``campaign.run`` ends
 #: in ``.run`` but times a whole sweep, not one job.
@@ -76,6 +83,11 @@ def _is_job_kind(kind: str) -> bool:
     return kind.endswith(_JOB_SUFFIXES) and not kind.startswith(_NON_JOB_PREFIXES)
 
 
+def _is_batch_kind(kind: str) -> bool:
+    """Whether spans of this kind time a batch of verification jobs."""
+    return kind.endswith(_BATCH_SUFFIXES) and not kind.startswith(_NON_JOB_PREFIXES)
+
+
 def _percentile(sorted_values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile of an already-sorted sequence (0.0 if empty)."""
     if not sorted_values:
@@ -92,15 +104,19 @@ def aggregate(spans: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     ``job_latency`` (percentiles over leaf job spans), and ``replay``
     (summed ``jobs_replayed``/``jobs_computed`` from scenario spans).
     """
-    ids = {span.get("id") for span in spans}
+    ids = {span.get("id"): span.get("parent") for span in spans}
     child_seconds: Dict[str, float] = {}
-    job_parents = set()
+    job_ancestors = set()
     for span in spans:
         parent = span.get("parent")
         if parent in ids:
             child_seconds[parent] = child_seconds.get(parent, 0.0) + _duration(span)
-            if _is_job_kind(span["kind"]):
-                job_parents.add(parent)
+        if _is_job_kind(span["kind"]) or _is_batch_kind(span["kind"]):
+            # Mark every ancestor, not just the parent: pool workers'
+            # job spans hang below pool.fan_out and pool.chunk spans.
+            while parent in ids and parent not in job_ancestors:
+                job_ancestors.add(parent)
+                parent = ids[parent]
 
     kinds: Dict[str, Dict[str, Any]] = {}
     roots: List[Dict[str, Any]] = []
@@ -121,9 +137,13 @@ def aggregate(spans: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         entry["durations"].append(duration)
         if span.get("parent") not in ids:
             roots.append(span)
-        if _is_job_kind(span["kind"]) and span.get("id") not in job_parents:
-            job_durations.append(duration)
         attrs = span.get("attrs") or {}
+        if span.get("id") not in job_ancestors:
+            if _is_job_kind(span["kind"]):
+                job_durations.append(duration)
+            elif _is_batch_kind(span["kind"]) and attrs.get("jobs"):
+                jobs = int(attrs["jobs"])
+                job_durations.extend([duration / jobs] * jobs)
         if span["kind"] == "campaign.scenario":
             scenario_spans += 1
             replayed += int(attrs.get("jobs_replayed", 0) or 0)

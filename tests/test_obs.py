@@ -348,6 +348,44 @@ def test_campaign_trace_replay_totals_match_report_exactly(tmp_path):
             assert report.jobs_computed == 0 and report.jobs_replayed > 0
 
 
+def test_job_latency_counts_the_same_jobs_on_every_backend(tmp_path):
+    # direct.run_many runs its jobs without per-job spans; the report must
+    # still count them (one share of the batch span each), so a sweep's
+    # job count does not depend on the backend that ran it.
+    counts = {}
+    for engine in ("direct", "cached", "parallel"):
+        trace_path = tmp_path / f"{engine}.jsonl"
+        trace.enable(trace_path)
+        run_campaign(SMOKE, engine=engine, workers=2 if engine == "parallel" else None, quick=True)
+        trace.disable()
+        counts[engine] = aggregate(load_trace(str(trace_path)))["job_latency"]["jobs"]
+    assert counts["direct"] > 0
+    assert counts["direct"] == counts["cached"] == counts["parallel"]
+
+
+def test_pool_job_spans_make_their_batch_a_non_leaf(tmp_path):
+    # Worker job spans hang below pool.fan_out / pool.chunk, not directly
+    # below the batch span: the batch must not count its jobs again.
+    shutdown_pool()
+    try:
+        trace.enable(tmp_path / "t.jsonl")
+        ParallelEngine(workers=2, adaptive=False).run_many(Deg2Decider(), _jobs())
+        trace.disable()
+    finally:
+        shutdown_pool()
+    assert aggregate(load_trace(str(tmp_path / "t.jsonl")))["job_latency"]["jobs"] == len(_jobs())
+
+
+def test_leaf_batch_span_counts_each_job_at_its_share():
+    spans = [
+        {"kind": "direct.run_many", "id": "d.1", "parent": None, "t0": 0.0, "t1": 4.0, "attrs": {"jobs": 4}},
+        {"kind": "interned.intern", "id": "d.2", "parent": "d.1", "t0": 0.0, "t1": 1.0, "attrs": {}},
+    ]
+    latency = aggregate(spans)["job_latency"]
+    assert latency["jobs"] == 4
+    assert latency["p50_ms"] == latency["p99_ms"] == pytest.approx(1000.0)
+
+
 def test_aggregate_self_time_and_job_latency():
     spans = [
         {"kind": "campaign.run", "id": "p.1", "parent": None, "t0": 0.0, "t1": 10.0, "attrs": {}},

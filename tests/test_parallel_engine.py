@@ -174,22 +174,29 @@ def test_property_p_scenario_matches_direct():
 
 
 # ---------------------------------------------------------------------- #
-# Sharded single-graph runs
+# Single-graph runs
 # ---------------------------------------------------------------------- #
 
 
-def test_sharded_run_matches_direct_on_id_dependent_algorithm():
-    graph = grid_graph(8, 8, label="g")
+def test_single_graph_runs_stay_in_process():
+    # Only job lists reach the pool: one large graph runs in-process even
+    # on an engine that sends every job list of two or more jobs there.
+    from repro.engine import POOL_MIN_UNITS, get_pool
+
+    graph = grid_graph(24, 24, label="g")
     ids = sequential_assignment(graph)
-    algorithm = FunctionAlgorithm(
+    parity = FunctionAlgorithm(
         lambda view: YES if view.max_visible_identifier() % 2 == 0 else NO, radius=2, name="parity"
     )
-    expected = run_algorithm(algorithm, graph, ids)
+    assert graph.num_nodes() * (parity.radius + 1) >= 3 * POOL_MIN_UNITS
+    forks_before = get_pool().forks
     engine = _parallel(2)
-    assert run_algorithm(algorithm, graph, ids, engine=engine) == expected
-    # The pool actually ran (the grid is above the sharding threshold).
-    assert engine.stats.extra.get("parallel_batches", 0) >= 1
-    assert engine.stats.nodes_run == graph.num_nodes()
+    assert engine.run(parity, graph, ids) == DirectEngine().run(parity, graph, ids)
+    coin = _coin_decider()
+    assert engine.run_randomised(coin, graph, ids, seed=7) == DirectEngine().run_randomised(coin, graph, ids, seed=7)
+    assert get_pool().forks == forks_before
+    assert "parallel_batches" not in engine.stats.extra
+    assert engine.stats.nodes_run == 2 * graph.num_nodes()
 
 
 def test_stats_are_exact_even_when_a_worker_takes_several_chunks():

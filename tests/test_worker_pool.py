@@ -85,22 +85,33 @@ def test_pool_survives_sweeps_with_zero_reforks(cold_pool):
         assert engine.stats.extra.get("parallel_batches") == 1
 
 
-def test_identical_payload_is_shipped_once(cold_pool):
+@pytest.mark.parametrize("randomised", [False, True], ids=["run_many", "run_randomised_many"])
+def test_identical_payload_is_shipped_once(cold_pool, randomised):
     engine = ParallelEngine(workers=2, adaptive=False)
-    decider = Deg2Decider()
-    jobs = _jobs()
-    engine.run_many(decider, jobs)
+    if randomised:
+        algorithm, sweep = CoinAlgorithm(), engine.run_randomised_many
+        jobs = [(graph, ids, 100 + k) for k, (graph, ids) in enumerate(_jobs())]
+    else:
+        algorithm, sweep = Deg2Decider(), engine.run_many
+        jobs = _jobs()
+    first = sweep(algorithm, jobs)
     ships = cold_pool.payload_ships
     bytes_shipped = cold_pool.payload_ship_bytes
     assert ships >= 1 and bytes_shipped > 0
     for _ in range(3):
-        engine.run_many(decider, jobs)
+        assert sweep(algorithm, jobs) == first
     # Same algorithm object + same job list => same generation: nothing
     # but chunk indices travelled in the warm sweeps.
     assert cold_pool.payload_ships == ships
     assert cold_pool.payload_ship_bytes == bytes_shipped
-    # A different job list is a new generation and ships again.
-    engine.run_many(decider, _jobs(count=6))
+    if randomised:
+        # The same graphs under a changed seed are a new generation.
+        reseeded = list(jobs)
+        reseeded[0] = (jobs[0][0], jobs[0][1], 999)
+        sweep(algorithm, reseeded)
+    else:
+        # A different job list is a new generation and ships again.
+        sweep(algorithm, _jobs(count=6))
     assert cold_pool.payload_ships > ships
 
 
