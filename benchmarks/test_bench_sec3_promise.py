@@ -8,9 +8,9 @@ simulation budget are defeated by machines that halt just beyond the budget.
 from repro.analysis import ExperimentLog
 from repro.decision import decide
 from repro.separation.computability import (
+    BoundedBudgetObliviousDecider,
     HaltingPromiseProblem,
     IdSimulationDecider,
-    bounded_budget_oblivious_decider,
 )
 from repro.turing import halting_machine, looping_machine, walker_machine
 
@@ -33,7 +33,7 @@ def _promise():
         correct += int(not decide(decider, inst, problem.instance_ids(inst)))
     # Fixed-budget oblivious candidate: defeated by the slowest halting machine.
     budget = 3
-    candidate = bounded_budget_oblivious_decider(budget)
+    candidate = BoundedBudgetObliviousDecider(budget)
     slow = problem.no_instance(walker_machine(6, "0"))
     candidate_fooled = decide(candidate, slow)
     log.add(

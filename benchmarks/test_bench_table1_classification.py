@@ -33,10 +33,9 @@ from repro.turing import halting_machine
 
 def _cell_b(computable: bool) -> SeparationResult:
     """Cells (B, C) and (B, ¬C): the Section-2 witness separates LD* from LD."""
-    depth_fn = lambda r: 4  # noqa: E731
     fam = section2_family(r=2, tree_depth=4, bound_fn=small_bound)
-    prop = SmallInstancesProperty(bound_fn=small_bound, tree_depth_override=depth_fn)
-    ld = BoundedIdsLDDecider(bound_fn=small_bound, tree_depth_override=depth_fn)
+    prop = SmallInstancesProperty(bound_fn=small_bound, tree_depth=4)
+    ld = BoundedIdsLDDecider(bound_fn=small_bound, tree_depth=4)
     ld_ok = verify_decider(
         ld, prop, family=fam, id_space=BoundedIdentifierSpace(small_bound), samples=1
     ).correct

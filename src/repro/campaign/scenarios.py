@@ -50,10 +50,10 @@ from ..separation.bounded_ids import (
     small_bound,
 )
 from ..separation.computability import (
+    BoundedBudgetObliviousDecider,
     HaltingPromiseProblem,
     IdSimulationDecider,
     RandomisedObliviousDecider,
-    bounded_budget_oblivious_decider,
     build_execution_graph,
 )
 from ..turing.library import halting_machine, looping_machine
@@ -109,18 +109,16 @@ def _build_sec2_promise(spec: ScenarioSpec, sizes: Tuple[int, ...]) -> ScenarioW
 
 def _build_sec2_property_p(spec: ScenarioSpec, sizes: Tuple[int, ...]) -> ScenarioWorkload:
     (depth,) = sizes
-    depth_fn = lambda r: depth  # noqa: E731 - stand-in tree depth for tractable instances
     return ScenarioWorkload(
         family=section2_family(r=2, tree_depth=depth, bound_fn=small_bound),
-        decider=BoundedIdsLDDecider(bound_fn=small_bound, tree_depth_override=depth_fn),
-        prop=SmallInstancesProperty(bound_fn=small_bound, tree_depth_override=depth_fn),
+        decider=BoundedIdsLDDecider(bound_fn=small_bound, tree_depth=depth),
+        prop=SmallInstancesProperty(bound_fn=small_bound, tree_depth=depth),
         id_space=BoundedIdentifierSpace(small_bound),
     )
 
 
 def _build_sec2_structure(spec: ScenarioSpec, sizes: Tuple[int, ...]) -> ScenarioWorkload:
     (depth,) = sizes
-    depth_fn = lambda r: depth  # noqa: E731
     base = section2_family(r=2, tree_depth=depth, bound_fn=small_bound)
     # P' additionally contains the full layered tree (base.no[0]); the
     # corrupted instances (pivot-less slab, too-shallow tree) stay out.
@@ -132,8 +130,8 @@ def _build_sec2_structure(spec: ScenarioSpec, sizes: Tuple[int, ...]) -> Scenari
     )
     return ScenarioWorkload(
         family=family,
-        decider=StructureVerifier(bound_fn=small_bound, tree_depth_override=depth_fn),
-        prop=SmallOrLargeProperty(bound_fn=small_bound, tree_depth_override=depth_fn),
+        decider=StructureVerifier(bound_fn=small_bound, tree_depth=depth),
+        prop=SmallOrLargeProperty(bound_fn=small_bound, tree_depth=depth),
     )
 
 
@@ -175,7 +173,7 @@ def _build_sec3_oblivious_budget(spec: ScenarioSpec, sizes: Tuple[int, ...]) -> 
     )
     return ScenarioWorkload(
         family=family,
-        decider=bounded_budget_oblivious_decider(budget=2),
+        decider=BoundedBudgetObliviousDecider(budget=2),
         prop=problem,
         assignments_factory=one_based_assignments(spec.samples, seed=spec.seed),
     )

@@ -19,9 +19,8 @@ always runs in-process:
 * **generation-tagged payloads** — a batch's payload is pickled once and
   shipped to a worker only when the worker does not already hold it;
   repeated sweeps over the same job list ship nothing but chunk indices.
-  Unpicklable payloads (lambda-based algorithms) are inherited through
-  copy-on-write memory by re-forked workers instead, visible in the
-  ``parallel_forks`` counter;
+  Pickling is the only way a payload reaches a worker: a batch whose
+  algorithm does not pickle (a lambda or closure) runs in-process;
 * **one routing rule** — a batch with fewer than two jobs, a one-worker
   engine, or a process that cannot fork runs in-process.  Otherwise
   ``adaptive=False`` sends it to the pool, and ``adaptive=True`` (the
@@ -39,8 +38,9 @@ always runs in-process:
   in the parent and sends only the misses here, so workers compute and
   never open the verdict store;
 * **graceful serial fallback** — in-process batches, and batches the pool
-  cannot run (a worker crashed twice, the pool could not be rebuilt), run
-  on the in-process shared engine with identical semantics.
+  cannot run (the payload does not pickle, a worker crashed twice, the
+  pool could not be rebuilt), run on the in-process shared engine with
+  identical semantics.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ from ..graphs.neighbourhood import Neighbourhood
 from ..obs import trace
 from ..obs.metrics import POOL_COUNTERS, diff_snapshots
 from .base import EngineStats, ExecutionEngine
-from .pool import PoolPayload, WorkerCrashError, get_pool, run_job, shared_local_engine, shutdown_pool
+from .pool import PoolPayload, UnpicklablePayloadError, WorkerCrashError, get_pool, run_job
+from .pool import shared_local_engine, shutdown_pool
 
 if TYPE_CHECKING:  # type-only; keeps engine ↔ local_model import-cycle-free
     from ..local_model.algorithm import LocalAlgorithm, RandomisedLocalAlgorithm
@@ -181,8 +182,9 @@ class ParallelEngine(ExecutionEngine):
         """Run the payload's jobs in chunks on the persistent pool.
 
         Returns the outputs in job order, or ``None`` when the pool could
-        not run the batch (callers fall back to in-process execution).
-        Algorithm errors raised inside workers propagate.
+        not run the batch (callers fall back to in-process execution): the
+        payload does not pickle, or a worker crashed twice.  Algorithm
+        errors raised inside workers propagate.
         """
         chunks = partition_chunks(len(payload.jobs), self.workers)
         workers = len(chunks)
@@ -196,8 +198,8 @@ class ParallelEngine(ExecutionEngine):
             trace_ctx = (tracer.sidecar_dir(), sp.id) if tracer is not None else None
             try:
                 replies = pool.submit(payload, chunks, workers, trace_ctx=trace_ctx)
-            except (WorkerCrashError, OSError):
-                sp.add(failed=True)
+            except (UnpicklablePayloadError, WorkerCrashError, OSError) as exc:
+                sp.add(failed=type(exc).__name__)
                 replies = None
             finally:
                 if tracer is not None:
@@ -247,8 +249,9 @@ class ParallelEngine(ExecutionEngine):
         with self._borrow_inner() as inner:
             return inner.run_randomised(algorithm, graph, ids, seed, nodes)
 
-    def _run_jobs(self, algorithm, jobs: Iterable[Tuple]) -> List[Dict[Node, Hashable]]:
-        """Run a job list on the pool when the routing rule says so, else in-process."""
+    def _run_jobs(self, algorithm, jobs: Sequence[Tuple]) -> List[Dict[Node, Hashable]]:
+        """Run a ``(graph, ids)`` or ``(graph, ids, seed)`` job list, in job order:
+        on the pool when the routing rule says so, else in-process."""
         jobs = list(jobs)
         if not jobs:
             return []
@@ -258,21 +261,8 @@ class ParallelEngine(ExecutionEngine):
         with self._borrow_inner() as inner:
             return [run_job(inner, algorithm, job) for job in jobs]
 
-    def _run_many_core(
-        self,
-        algorithm: "LocalAlgorithm",
-        jobs: Sequence[Tuple[LabelledGraph, Optional[IdAssignment]]],
-    ) -> List[Dict[Node, Hashable]]:
-        """Run a deterministic ``(graph, ids)`` job list, in job order."""
-        return self._run_jobs(algorithm, jobs)
-
-    def _run_randomised_many_core(
-        self,
-        algorithm: "RandomisedLocalAlgorithm",
-        jobs: Sequence[Tuple[LabelledGraph, Optional[IdAssignment], int]],
-    ) -> List[Dict[Node, Hashable]]:
-        """Run a randomised ``(graph, ids, seed)`` job list, in job order."""
-        return self._run_jobs(algorithm, jobs)
+    #: Deterministic and randomised job lists take the one path.
+    _run_many_core = _run_randomised_many_core = _run_jobs
 
     # -- single-view primitives (always in-process) ------------------------- #
 

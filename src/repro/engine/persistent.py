@@ -38,12 +38,12 @@ explicit seed are never persisted.
 
 Invalidation is by construction rather than by deletion: the digest keys
 include an exact fingerprint of the algorithm's *code and parameters*
-(bytecode of ``evaluate`` and wrapped functions, closure values, every
-instance attribute), so editing a decider changes its fingerprint and all
-previously stored verdicts for it simply stop matching.  An algorithm the
-fingerprint cannot capture exactly (an attribute holding an arbitrary
-object, say) has no digest: its jobs run unpersisted, so a replay is
-always of the very algorithm that stored it.  :meth:`VerdictStore.clear`
+(bytecode of every function its classes define, closure values, every
+instance attribute), so editing a decider or any helper it calls changes
+its fingerprint and its stored verdicts simply stop matching.  An
+algorithm the fingerprint cannot capture exactly (an attribute holding an
+arbitrary object, say) has no digest: its jobs run unpersisted, so a
+replay is always of the very algorithm that stored it.  :meth:`VerdictStore.clear`
 drops the segments wholesale when an explicit reset is wanted.
 """
 
@@ -120,14 +120,19 @@ def _sha256(*parts: str) -> str:
     return digest.hexdigest()
 
 
+def _const_token(const: Any) -> str:
+    """Token of one code constant: nested code recursively, a frozenset in sorted order
+    (its repr follows string hashes, which change with ``PYTHONHASHSEED``)."""
+    if hasattr(const, "co_code"):
+        return _raw_code_token(const)
+    if isinstance(const, frozenset) and const:
+        return f"frozenset({{{', '.join(sorted(map(repr, const)))}}})"
+    return repr(const)
+
+
 def _raw_code_token(code: Any) -> str:
-    """Token of one code object: bytecode, consts (recursing into nested code) and names."""
-    consts = tuple(
-        # Nested functions/lambdas live in co_consts as code objects; recurse
-        # into them so editing an inner body changes the outer token too.
-        _raw_code_token(c) if hasattr(c, "co_code") else repr(c)
-        for c in code.co_consts
-    )
+    """Token of one code object: bytecode, consts and names."""
+    consts = tuple(_const_token(c) for c in code.co_consts)
     return _sha256(code.co_code.hex(), repr(consts), repr(code.co_names))
 
 
@@ -180,9 +185,9 @@ def _exact_repr(value: Any, depth: int = 0) -> Optional[str]:
 def _strict_code_token(fn: Any, depth: int = 0) -> Optional[str]:
     """Like :func:`_code_token`, but ``None`` unless provably exact.
 
-    Any closure cell that is neither an exact value (see :func:`_exact_repr`)
-    nor itself exactly tokenisable makes the whole token ``None``: two
-    behaviourally different functions must never share a token.
+    Any closure cell without an exact :func:`_member_token` makes the
+    whole token ``None``: two behaviourally different functions must never
+    share a token.
     """
     if depth > 8:
         return None
@@ -191,20 +196,17 @@ def _strict_code_token(fn: Any, depth: int = 0) -> Optional[str]:
     if code is None:
         return None
     cells: List[str] = []
-    closure = getattr(fn, "__closure__", None)
-    if closure:
-        for cell in closure:
-            value = cell.cell_contents
-            exact = _exact_repr(value)
-            if exact is not None:
-                cells.append(exact)
-            elif callable(value):
-                token = _strict_code_token(value, depth + 1)
-                if token is None:
-                    return None
-                cells.append(token)
-            else:
-                return None
+    for name, cell in zip(code.co_freevars, getattr(fn, "__closure__", None) or ()):
+        value = cell.cell_contents
+        if name == "__class__" and isinstance(value, type):
+            # The implicit cell of a method calling super(): the class that
+            # defines it, whose own code is tokenised by name.
+            token: Optional[str] = f"class {value.__module__}.{value.__qualname__}"
+        else:
+            token = _member_token(value, depth + 1)
+        if token is None:
+            return None
+        cells.append(token)
     # co_names pins the globals the bytecode reads; the referenced global
     # *values* are not captured, so module-level mutable state would evade
     # the token.  Pin the defining module instead: same module + same
@@ -214,60 +216,70 @@ def _strict_code_token(fn: Any, depth: int = 0) -> Optional[str]:
     return _sha256("strict", module, _raw_code_token(code), repr(tuple(cells)))
 
 
+#: The classes an algorithm's fingerprint skips: the library's base
+#: algorithm classes, ``ABC`` and ``object``.
+_BASE_MODULES = frozenset({"repro.local_model.algorithm", "abc", "builtins"})
+
+#: Class tokens, computed once per class: the matrix fingerprints a fresh
+#: decider for every cell.
+_CLASS_TOKENS: Dict[type, Optional[str]] = {}
+
+
+def _member_token(value: Any, depth: int = 0) -> Optional[str]:
+    """Exact token of a function (by its code) or a value, or ``None``."""
+    if isinstance(value, property):
+        tokens = [_member_token(f, depth) for f in (value.fget, value.fset, value.fdel) if f is not None]
+        return None if None in tokens else _sha256(*tokens)
+    value = getattr(value, "__func__", value)  # static/class/bound methods
+    return _strict_code_token(value, depth) if hasattr(value, "__code__") else _exact_repr(value)
+
+
+def _state_token(namespace: Dict[str, Any]) -> Optional[str]:
+    """Exact token of a class's or an instance's namespace (all but the cosmetic
+    ``name`` and interpreter bookkeeping such as ``__doc__``), or ``None``."""
+    parts: List[str] = []
+    for key, value in sorted(namespace.items()):
+        if key == "name" or key.startswith("_abc_") or (key.startswith("__") and not hasattr(value, "__code__")):
+            continue
+        token = _member_token(value)
+        if token is None:
+            return None
+        parts.append(f"{key}={token}")
+    return _sha256(*parts)
+
+
+def _class_token(cls: type) -> Optional[str]:
+    """Token of every method, helper and constant the algorithm's own classes define (cached)."""
+    if cls not in _CLASS_TOKENS:
+        tokens = [_state_token(vars(k)) for k in cls.__mro__ if k.__module__ not in _BASE_MODULES]
+        _CLASS_TOKENS[cls] = None if None in tokens else _sha256(cls.__module__, cls.__qualname__, *tokens)
+    return _CLASS_TOKENS[cls]
+
+
 def algorithm_fingerprint(algorithm: Any) -> Optional[str]:
     """The algorithm's exact content identity, or ``None`` when it has none.
 
     Returns a token only when every behaviour-carrying part of the
-    algorithm is captured exactly: its class, declared radius and
-    obliviousness, the strict code token of ``evaluate`` (and of a wrapped
-    ``_fn``), and every instance attribute — which must be primitive,
-    tuple/frozenset of primitives, or exactly-tokenisable callables.  One
-    approximated part returns ``None``.  The fingerprint keys both the
-    verdict store (:func:`job_digest`) and the
-    :class:`~repro.engine.cached.CachedEngine` memo; an algorithm without
-    one is memoised by identity and never persisted.  Editing a decider's
-    code or parameters changes its fingerprint, which is how stored
-    verdicts go stale without any explicit invalidation.
+    algorithm is captured exactly: its declared radius and obliviousness,
+    the code of every function its own classes define (``evaluate`` and
+    the helpers it calls alike) and their constants, and every instance
+    attribute — which must be primitive, tuple/frozenset of primitives,
+    or exactly-tokenisable callables.  One approximated part returns
+    ``None``.  The fingerprint keys both the verdict store
+    (:func:`job_digest`) and the :class:`~repro.engine.cached.CachedEngine`
+    memo; an algorithm without one is memoised by identity and never
+    persisted.  Editing a decider's code or parameters changes its
+    fingerprint, which is how stored verdicts go stale without any
+    explicit invalidation.
     """
-    parts: List[str] = [
-        type(algorithm).__module__,
-        type(algorithm).__qualname__,
-        repr(getattr(algorithm, "radius", None)),
-        repr(getattr(algorithm, "uses_identifiers", None)),
-    ]
-    token = _strict_code_token(algorithm.evaluate)
-    if token is None:
-        return None
-    parts.append(token)
-    wrapped = getattr(algorithm, "_fn", None)
-    if callable(wrapped):
-        token = _strict_code_token(wrapped)
-        if token is None:
-            return None
-        parts.append(token)
     if getattr(algorithm, "__slots__", None):
-        # Slotted state is invisible to the __dict__ walk below; refuse
-        # rather than fingerprint blind.
+        return None  # slotted state is invisible to the __dict__ walk
+    class_token = _class_token(type(algorithm))
+    state = _state_token(getattr(algorithm, "__dict__", {}))
+    if class_token is None or state is None:
         return None
-    attrs = getattr(algorithm, "__dict__", None)
-    if attrs:
-        for key in sorted(attrs):
-            value = attrs[key]
-            if key == "name" or key.startswith("__"):
-                continue
-            if key == "_fn" and callable(value):
-                continue  # already covered above
-            exact = _exact_repr(value)
-            if exact is not None:
-                parts.append(f"{key}={exact}")
-            elif callable(value):
-                token = _strict_code_token(value)
-                if token is None:
-                    return None
-                parts.append(f"{key}~{token}")
-            else:
-                return None
-    return _sha256("exact", *parts)
+    radius, oblivious = getattr(algorithm, "radius", None), getattr(algorithm, "uses_identifiers", None)
+    return _sha256("exact", class_token, repr(radius), repr(oblivious), state)
 
 
 def _graph_token(graph: LabelledGraph) -> str:
@@ -690,11 +702,13 @@ class PersistentEngine(ExecutionEngine):
         A job is ``(graph, ids)`` or ``(graph, ids, seed)``.  ``compute``
         receives the missing jobs in job order and returns their outputs,
         so a sharding inner engine still sees the whole miss list at once.
+        The replayed/computed split is recorded on the caller's driver span,
+        so a trace report counts the replayed jobs of a partly replayed batch.
         """
         results: List[Optional[Dict[Node, Hashable]]] = [None] * len(jobs)
         missing: List[int] = []
         digests: List[Optional[str]] = []
-        with trace.span("store.lookup", jobs=len(jobs)) as sp:
+        with trace.span("store.lookup", jobs=len(jobs)):
             for k, job in enumerate(jobs):
                 graph, ids = job[0], job[1]
                 seed = job[2] if len(job) == 3 else None
@@ -705,7 +719,7 @@ class PersistentEngine(ExecutionEngine):
                     missing.append(k)
                 else:
                     results[k] = replayed
-            sp.add(replayed=len(jobs) - len(missing))
+        trace.current().add(replayed=len(jobs) - len(missing), computed=len(missing))
         if missing:
             computed = compute([jobs[k] for k in missing])
             for k, outputs in zip(missing, computed):

@@ -2,39 +2,31 @@
 
 * :class:`WorkerPool` — a lazily created, process-wide pool of long-lived
   worker processes.  Each worker owns one duplex pipe and one warm
-  execution engine (a fork-time copy of :func:`shared_local_engine`, so a
-  worker starts with every ball/memo entry the parent had already
-  computed).  Workers survive across batches, sweeps, campaign scenarios
-  and engine instances; the fork tax is paid once per process, not once
-  per batch.
-* **One payload shape** — a batch is an algorithm plus a job list, each
-  job ``(graph, ids)`` (deterministic) or ``(graph, ids, seed)``
-  (randomised, the seed carried in the job); a worker runs each job it is
-  sent through its engine's ``run`` or ``run_randomised``.
-* **Generation-tagged payload shipping** — a batch's payload is pickled
-  once and shipped to a worker only when that worker does not already
-  hold the current generation; repeated sweeps over the same job list
-  re-use the previous generation and ship nothing but chunk
-  indices.  Payloads that cannot be pickled (lambda- and closure-based
-  algorithms) are shipped by re-forking the needed workers with the
-  payload published in a module global first, so fork inheritance hands
-  it over — at one fork per worker, which the ``parallel_forks`` counter
-  makes visible.
-* **Re-fork-on-death recovery** — a worker that dies mid-batch (killed,
-  OOM, crashed) is detected through its broken pipe, replaced by a fresh
-  fork, re-shipped the payload and re-sent its chunks; the batch completes
-  without loss.
+  execution engine (a fork-time copy of :func:`shared_local_engine`), and
+  survives across batches, sweeps, campaign scenarios and engine
+  instances: the fork tax is paid once per process, not once per batch.
+* **One payload shape, one way to ship it** — a batch is an algorithm
+  plus a job list, each job ``(graph, ids)`` or ``(graph, ids, seed)``;
+  a worker runs each job it is sent through its engine's ``run`` or
+  ``run_randomised``.  The payload is pickled once and shipped to a
+  worker only when that worker does not already hold its generation, so
+  repeated sweeps over the same job list ship nothing but chunk indices.
+  A payload that does not pickle (a lambda- or closure-based algorithm)
+  raises :class:`UnpicklablePayloadError` before anything is forked or
+  sent, and the caller runs the batch in-process.
+* **Re-fork recovery** — a worker that dies mid-batch (killed, OOM,
+  crashed) is detected through its broken pipe, replaced by a fresh fork,
+  re-shipped the payload and re-sent its chunks; the batch completes
+  without loss.  A worker that cannot unpickle a payload (it was forked
+  before a class the payload names was importable) is replaced the same
+  way, once.
 * :func:`shared_local_engine` — the process-wide warm
-  :class:`~repro.engine.cached.CachedEngine` used for in-process
-  execution by every ``ParallelEngine``; its memo is keyed by algorithm
-  fingerprint, so equal-content deciders rebuilt per cell share it.
-  Because it is shared, ball collections and memoised verdicts survive
-  across the per-scenario engines a campaign creates, which is where the
-  measured quick-matrix speedup comes from.
-  Because workers run ``CachedEngine``s, they use the interned-graph
-  path (:mod:`repro.engine.interned`) — each worker interns a graph once
-  and serves every job of the sweep on that graph from the same ball
-  tables.
+  :class:`~repro.engine.cached.CachedEngine` every ``ParallelEngine``
+  runs in-process batches on; its memo is keyed by algorithm fingerprint,
+  so equal-content deciders rebuilt per cell share it, and its balls and
+  memoised verdicts survive across the per-scenario engines a campaign
+  creates.  Workers inherit it at fork time, so they run the
+  interned-graph path (:mod:`repro.engine.interned`) too.
 
 Which batches reach the pool is decided by
 :class:`~repro.engine.parallel.ParallelEngine`; this module only runs them.
@@ -74,6 +66,7 @@ __all__ = [
     "PoolPayload",
     "WorkerPool",
     "WorkerCrashError",
+    "UnpicklablePayloadError",
     "get_pool",
     "shutdown_pool",
     "shared_local_engine",
@@ -92,7 +85,7 @@ def shared_local_engine() -> CachedEngine:
     """The process-wide warm caching engine used for in-process execution.
 
     Shared by every :class:`~repro.engine.parallel.ParallelEngine` (and,
-    via fork inheritance, the starting state of every pool worker), so the
+    copied at fork time, the starting state of every pool worker), so the
     ball cache and the fingerprint-keyed memo survive across the short-lived
     per-scenario engines a campaign run creates.  Callers temporarily
     rebind ``stats`` so the work is attributed to the borrowing engine.
@@ -152,12 +145,6 @@ def run_job(engine, algorithm, job: Tuple):
 # ---------------------------------------------------------------------- #
 # Worker-side machinery
 # ---------------------------------------------------------------------- #
-#
-# Set in the parent immediately before forking a worker whose payload
-# could not be pickled; the child adopts it into its payload cache through
-# copy-on-write memory.
-
-_INHERITED: Optional[Tuple[int, PoolPayload]] = None
 
 
 def _execute_chunk(engine, payload: PoolPayload, chunk: range):
@@ -176,8 +163,6 @@ def _worker_main(conn) -> None:
     """Long-lived worker loop: cache payloads by generation, run chunks."""
     engine = shared_local_engine()  # fork-time warm copy of the parent's engine
     payloads: Dict[int, PoolPayload] = {}
-    if _INHERITED is not None:
-        payloads[_INHERITED[0]] = _INHERITED[1]
     while True:
         try:
             message = conn.recv()
@@ -194,7 +179,7 @@ def _worker_main(conn) -> None:
             except BaseException:
                 # Pickled-by-reference objects can fail to resolve in a
                 # worker forked before they were defined.  Tell the parent
-                # so it re-ships this payload by fork inheritance instead.
+                # so it replaces this worker with a fresh fork.
                 payloads = {}
                 conn.send(("payload-error", generation))
             continue
@@ -250,6 +235,10 @@ class WorkerCrashError(RuntimeError):
     """A worker died repeatedly while executing one batch."""
 
 
+class UnpicklablePayloadError(TypeError):
+    """A batch's payload does not pickle, so no worker can receive it."""
+
+
 class _Handle:
     """Parent-side view of one worker: process, pipe, payload generation."""
 
@@ -265,7 +254,7 @@ class _Handle:
 class _LastPayload:
     payload: PoolPayload
     generation: int
-    blob: Optional[bytes]
+    blob: bytes
 
 
 class WorkerPool:
@@ -344,11 +333,7 @@ class WorkerPool:
         # inherit it.
         child_conn.close()
         self.metrics.inc(FORKS)
-        handle = _Handle(process, parent_conn)
-        if _INHERITED is not None:
-            # The child adopted the published payload at fork time.
-            handle.generation = _INHERITED[0]
-        return handle
+        return _Handle(process, parent_conn)
 
     def _ensure(self, workers: int) -> None:
         for index in range(workers):
@@ -396,35 +381,22 @@ class WorkerPool:
 
     # -- payload generations ---------------------------------------------- #
 
-    def _generation_for(self, payload: PoolPayload) -> Tuple[int, Optional[bytes]]:
-        """Resolve the payload's generation, re-using the previous one when
-        the work is identical; ``blob`` is ``None`` for unpicklable payloads
-        (which ship by fork inheritance instead)."""
+    def _generation_for(self, payload: PoolPayload) -> Tuple[int, bytes]:
+        """Resolve the payload's generation and pickled blob, re-using the
+        previous generation when the work is identical.
+
+        Raises :class:`UnpicklablePayloadError` when the payload does not
+        pickle; nothing has been forked or sent at that point.
+        """
         if self._last is not None and _same_payload(self._last.payload, payload):
             return self._last.generation, self._last.blob
-        self._generation += 1
         try:
-            blob: Optional[bytes] = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        except (pickle.PicklingError, TypeError, AttributeError):
-            blob = None
+            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            raise UnpicklablePayloadError(f"the batch payload does not pickle: {exc}") from exc
+        self._generation += 1
         self._last = _LastPayload(payload, self._generation, blob)
         return self._generation, blob
-
-    def _respawn_inherited(self, index: int, generation: int, payload: PoolPayload) -> None:
-        """Replace worker ``index`` with a fork that inherits the payload."""
-        global _INHERITED
-        if index < len(self._handles):
-            self._discard(self._handles[index])
-        _INHERITED = (generation, payload)
-        try:
-            handle = self._spawn()
-        finally:
-            _INHERITED = None
-        handle.generation = generation
-        if index < len(self._handles):
-            self._handles[index] = handle
-        else:  # pragma: no cover - _ensure ran first in every caller
-            self._handles.append(handle)
 
     # -- batch submission -------------------------------------------------- #
 
@@ -447,24 +419,16 @@ class WorkerPool:
         re-dispatches) extends it with the worker index and ships it in the
         run message, so workers trace into per-worker sidecar files whose
         spans hang off the parent's dispatch span.
+
+        Raises :class:`UnpicklablePayloadError`, before forking or sending
+        anything, when the payload does not pickle.
         """
         if not chunks:
             return []
+        generation, blob = self._generation_for(payload)
         self._trace_ctx = trace_ctx
         workers = max(1, min(workers, len(chunks)))
-        generation, blob = self._generation_for(payload)
-        if blob is None:
-            # Unpicklable payload: publish it for fork inheritance so any
-            # worker spawned while filling the pool adopts it for free
-            # (already-live workers are respawned lazily by _dispatch).
-            global _INHERITED
-            _INHERITED = (generation, payload)
-            try:
-                self._ensure(workers)
-            finally:
-                _INHERITED = None
-        else:
-            self._ensure(workers)
+        self._ensure(workers)
         assignments: List[List[Tuple[int, range]]] = [
             [(index, chunk) for index, chunk in enumerate(chunks)][w::workers] for w in range(workers)
         ]
@@ -472,7 +436,7 @@ class WorkerPool:
         for w in range(workers):
             if not assignments[w]:
                 continue
-            self._dispatch(w, generation, blob, payload, assignments[w])
+            self._dispatch(w, generation, blob, assignments[w])
             pending.append(w)
         results: List[Optional[Tuple]] = [None] * len(chunks)
         failure: Optional[BaseException] = None
@@ -480,7 +444,7 @@ class WorkerPool:
             # Drain every dispatched worker even after a failure: an
             # uncollected reply would desynchronise the next batch.
             try:
-                replies = self._collect(w, generation, blob, payload, assignments[w])
+                replies = self._collect(w, generation, blob, assignments[w])
             except BaseException as exc:
                 if failure is None:
                     failure = exc
@@ -499,8 +463,7 @@ class WorkerPool:
         self,
         index: int,
         generation: int,
-        blob: Optional[bytes],
-        payload: PoolPayload,
+        blob: bytes,
         tasks: List[Tuple[int, range]],
         retried: bool = False,
     ) -> None:
@@ -508,16 +471,10 @@ class WorkerPool:
         chunk_ranges = [chunk for _, chunk in tasks]
         try:
             if handle.generation != generation:
-                if blob is None:
-                    # Unpicklable payload: ship it by re-forking this
-                    # worker with the payload published for inheritance.
-                    self._respawn_inherited(index, generation, payload)
-                    handle = self._handles[index]
-                else:
-                    handle.conn.send(("payload", generation, blob))
-                    handle.generation = generation
-                    self.metrics.inc(PAYLOAD_SHIPS)
-                    self.metrics.inc(PAYLOAD_SHIP_BYTES, len(blob))
+                handle.conn.send(("payload", generation, blob))
+                handle.generation = generation
+                self.metrics.inc(PAYLOAD_SHIPS)
+                self.metrics.inc(PAYLOAD_SHIP_BYTES, len(blob))
             ctx = self._trace_ctx
             worker_ctx = None if ctx is None else (ctx[0], ctx[1], index)
             handle.conn.send(("run", generation, chunk_ranges, worker_ctx))
@@ -525,14 +482,13 @@ class WorkerPool:
             if retried:
                 raise WorkerCrashError(f"worker {index} died twice while receiving a batch")
             self._replace_dead(index)
-            self._dispatch(index, generation, blob, payload, tasks, retried=True)
+            self._dispatch(index, generation, blob, tasks, retried=True)
 
     def _collect(
         self,
         index: int,
         generation: int,
-        blob: Optional[bytes],
-        payload: PoolPayload,
+        blob: bytes,
         tasks: List[Tuple[int, range]],
         retried: bool = False,
     ) -> List[Tuple]:
@@ -545,28 +501,23 @@ class WorkerPool:
             if retried:
                 raise WorkerCrashError(f"worker {index} died twice while executing a batch")
             self._replace_dead(index)
-            self._dispatch(index, generation, blob, payload, tasks)
-            return self._collect(index, generation, blob, payload, tasks, retried=True)
+            self._dispatch(index, generation, blob, tasks)
+            return self._collect(index, generation, blob, tasks, retried=True)
         tag = reply[0]
         if tag == "ok":
             return reply[1]
         if tag == "error":
             raise reply[1]
-        if tag == "payload-error":
-            # The worker could not unpickle the payload (forked before a
-            # referenced object existed).  Re-ship by fork inheritance:
-            # killing the worker also discards its queued run message.
+        if tag in ("payload-error", "missing-payload"):
+            # The worker does not hold the payload: it could not unpickle
+            # it (forked before a class it names was importable), or lost
+            # it.  A fresh fork can take it; replacing the worker also
+            # discards the run message still queued for it.
             if retried:
                 raise WorkerCrashError(f"worker {index} rejected the payload twice")
-            self._respawn_inherited(index, generation, payload)
-            self._dispatch(index, generation, None, payload, tasks)
-            return self._collect(index, generation, blob, payload, tasks, retried=True)
-        if tag == "missing-payload":  # pragma: no cover - defensive resync
-            if retried:
-                raise WorkerCrashError(f"worker {index} lost the payload twice")
-            handle.generation = None
-            self._dispatch(index, generation, blob, payload, tasks)
-            return self._collect(index, generation, blob, payload, tasks, retried=True)
+            self._replace_dead(index)
+            self._dispatch(index, generation, blob, tasks)
+            return self._collect(index, generation, blob, tasks, retried=True)
         raise WorkerCrashError(f"worker {index} sent unknown reply {tag!r}")  # pragma: no cover
 
     def _replace_dead(self, index: int) -> None:

@@ -14,7 +14,9 @@ garbled lines from killed workers), rebuilds the span tree from
   batch span (``.run_many`` / ``.run_randomised_many`` with no job span
   below it, as ``direct.run_many`` runs its jobs unspanned) counts as its
   ``jobs`` attribute, each at the batch's duration divided by its job
-  count,
+  count.  A partly replayed ``persistent`` batch counts its ``replayed``
+  attribute on top of the computed jobs spanned below it, each replayed
+  job at an equal share of the batch's time outside those spans,
 * the replay/compute breakdown summed from ``campaign.scenario`` span
   attributes — by construction these equal the campaign report's
   ``jobs_replayed`` / ``jobs_computed`` totals,
@@ -106,12 +108,16 @@ def aggregate(spans: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     """
     ids = {span.get("id"): span.get("parent") for span in spans}
     child_seconds: Dict[str, float] = {}
+    job_child_seconds: Dict[str, float] = {}
     job_ancestors = set()
     for span in spans:
         parent = span.get("parent")
+        is_job = _is_job_kind(span["kind"]) or _is_batch_kind(span["kind"])
         if parent in ids:
             child_seconds[parent] = child_seconds.get(parent, 0.0) + _duration(span)
-        if _is_job_kind(span["kind"]) or _is_batch_kind(span["kind"]):
+            if is_job:
+                job_child_seconds[parent] = job_child_seconds.get(parent, 0.0) + _duration(span)
+        if is_job:
             # Mark every ancestor, not just the parent: pool workers'
             # job spans hang below pool.fan_out and pool.chunk spans.
             while parent in ids and parent not in job_ancestors:
@@ -144,6 +150,11 @@ def aggregate(spans: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
             elif _is_batch_kind(span["kind"]) and attrs.get("jobs"):
                 jobs = int(attrs["jobs"])
                 job_durations.extend([duration / jobs] * jobs)
+        elif _is_batch_kind(span["kind"]) and attrs.get("replayed"):
+            # Partly replayed: only the computed jobs have spans (below).
+            replayed_jobs = int(attrs["replayed"])
+            outside = max(0.0, duration - job_child_seconds.get(span.get("id"), 0.0))
+            job_durations.extend([outside / replayed_jobs] * replayed_jobs)
         if span["kind"] == "campaign.scenario":
             scenario_spans += 1
             replayed += int(attrs.get("jobs_replayed", 0) or 0)

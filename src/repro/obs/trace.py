@@ -52,6 +52,7 @@ __all__ = [
     "Span",
     "Tracer",
     "active",
+    "current",
     "disable",
     "enable",
     "enabled",
@@ -264,6 +265,14 @@ def span(kind: str, /, **attrs: Any) -> Union[Span, _NoopSpan]:
     if tracer is None:
         return _NOOP
     return tracer.span(kind, **attrs)
+
+
+def current() -> Union[Span, _NoopSpan]:
+    """The innermost open span (annotate it with ``add``), or the free no-op."""
+    tracer = _TRACER
+    if tracer is None or not tracer._stack:
+        return _NOOP
+    return tracer._stack[-1]
 
 
 def enable(

@@ -12,9 +12,10 @@ The three algorithms of the construction:
 
 * :class:`StructureVerifier` — the Id-oblivious verifier of ``P'``
   (accepts exactly: valid small instances and valid large trees);
-* :class:`BoundedIdsLDDecider` — the LD decider of ``P``: run the structure
-  verifier, then additionally reject when the node's own identifier is at
-  least ``R(r)`` (which can only happen in a large instance);
+* :class:`BoundedIdsLDDecider` — the LD decider of ``P``: apply the
+  structure verifier's rules, then additionally reject when the node's own
+  identifier is at least ``R(r)`` (which can only happen in a large
+  instance);
 * the impossibility side is produced by
   :func:`section2_impossibility_certificate` via neighbourhood coverage.
 """
@@ -25,7 +26,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 
 from ...analysis.coverage import build_impossibility_certificate
 from ...decision.classes import ImpossibilityCertificate
-from ...engine.base import EngineLike, resolve_engine
+from ...engine.base import EngineLike
 from ...decision.property import InstanceFamily, Property
 from ...errors import ConstructionError
 from ...graphs.identifiers import default_bound
@@ -121,6 +122,11 @@ def _edges_match(graph: LabelledGraph, coords: Dict[Tuple[int, int], Node], extr
     return actual == expected
 
 
+def _tree_depth(tree_depth: Optional[int], r: int, bound_fn: Callable[[int], int]) -> int:
+    """The layered tree's depth: the stand-in ``tree_depth`` when set, else the paper's ``R(r)``."""
+    return bound_R(r, bound_fn) if tree_depth is None else tree_depth
+
+
 class SmallInstancesProperty(Property):
     """The property ``P = ⋃_r Hr``: pivot-augmented depth-``r`` slabs of the depth-``R(r)`` layered tree."""
 
@@ -128,12 +134,12 @@ class SmallInstancesProperty(Property):
         self,
         bound_fn: Callable[[int], int] = default_bound,
         root_widths: Sequence[int] = (1, 2),
-        tree_depth_override: Optional[Callable[[int], int]] = None,
+        tree_depth: Optional[int] = None,
     ) -> None:
         self.bound_fn = bound_fn
         self.root_widths = tuple(root_widths)
+        self.tree_depth = tree_depth
         self.name = "sec2-small-instances(P)"
-        self._depth_fn = tree_depth_override or (lambda r: bound_R(r, self.bound_fn))
 
     def _matching_spec(self, graph: LabelledGraph) -> Optional[SlabSpec]:
         parsed = _extract_coordinates(graph)
@@ -143,7 +149,7 @@ class SmallInstancesProperty(Property):
         if len(pivots) != 1 or not coords:
             return None
         pivot = pivots[0]
-        tree_depth = self._depth_fn(r)
+        tree_depth = _tree_depth(self.tree_depth, r, self.bound_fn)
         ys = [y for (_, y) in coords]
         xs_at_top = sorted(x for (x, y) in coords if y == min(ys))
         y0 = min(ys)
@@ -181,12 +187,12 @@ class SmallOrLargeProperty(Property):
         self,
         bound_fn: Callable[[int], int] = default_bound,
         root_widths: Sequence[int] = (1, 2),
-        tree_depth_override: Optional[Callable[[int], int]] = None,
+        tree_depth: Optional[int] = None,
     ) -> None:
         self.bound_fn = bound_fn
-        self.small = SmallInstancesProperty(bound_fn, root_widths, tree_depth_override)
+        self.tree_depth = tree_depth
+        self.small = SmallInstancesProperty(bound_fn, root_widths, tree_depth)
         self.name = "sec2-small-or-large(P')"
-        self._depth_fn = tree_depth_override or (lambda r: bound_R(r, self.bound_fn))
 
     def _is_large_instance(self, graph: LabelledGraph, required_depth: Optional[int] = None) -> bool:
         parsed = _extract_coordinates(graph)
@@ -195,7 +201,7 @@ class SmallOrLargeProperty(Property):
         r, coords, pivots = parsed
         if pivots or not coords:
             return False
-        depth = required_depth if required_depth is not None else self._depth_fn(r)
+        depth = required_depth if required_depth is not None else _tree_depth(self.tree_depth, r, self.bound_fn)
         expected = {(x, y) for y in range(depth + 1) for x in range(2**y)}
         if set(coords.keys()) != expected:
             return False
@@ -210,47 +216,17 @@ class SmallOrLargeProperty(Property):
 # ---------------------------------------------------------------------- #
 
 
-class StructureVerifier(IdObliviousAlgorithm):
-    """Id-oblivious horizon-1 verifier of ``P'`` (valid small instance or valid large tree).
+class _StructureRules:
+    """The per-node rules of the ``P'`` structure verifier.
 
-    Per-node rules (Section 2's "straightforward to verify locally with the
-    help of coordinates"):
-
-    * every node and all its neighbours agree on ``r``;
-    * a coordinate node ``(r, x, y)`` checks ``0 <= x < 2^y`` and
-      ``0 <= y <= R(r)``, that every coordinate neighbour sits at a legal
-      relative position (parent, child, or horizontal neighbour) with no
-      duplicates, and that it is adjacent to at most one pivot;
-    * a coordinate node with **no** pivot neighbour must see its full
-      complement of tree neighbours (parent iff ``y > 0``, both children iff
-      ``y < R(r)``, horizontal neighbours iff they exist in the tree) — this
-      is how "medium" trees and pivot-less slabs get rejected;
-    * a pivot node must see exactly the border of a legal slab.
-
-    ``tree_depth_override`` lets experiments run the same verifier against
-    stand-in trees of smaller depth than the true ``R(r)`` (the structure
-    rules are identical; only the numeric depth differs).
+    Shared by :class:`StructureVerifier` and :class:`BoundedIdsLDDecider`,
+    which both hold the rules' whole state as plain attributes:
+    ``bound_fn``, ``root_widths`` and ``tree_depth``.
     """
-
-    def __init__(
-        self,
-        bound_fn: Callable[[int], int] = default_bound,
-        root_widths: Sequence[int] = (1, 2),
-        tree_depth_override: Optional[Callable[[int], int]] = None,
-    ) -> None:
-        super().__init__(radius=1, name="sec2-structure-verifier")
-        self.bound_fn = bound_fn
-        self.root_widths = tuple(root_widths)
-        self._depth_fn = tree_depth_override or (lambda r: bound_R(r, self.bound_fn))
-
-    # -- helpers --------------------------------------------------------- #
-
-    def _tree_depth(self, r: int) -> int:
-        return self._depth_fn(r)
 
     def _check_cell(self, view: Neighbourhood) -> Verdict:
         r, x, y = view.center_label()
-        depth = self._tree_depth(r)
+        depth = _tree_depth(self.tree_depth, r, self.bound_fn)
         if not (0 <= y <= depth and 0 <= x < 2**y):
             return NO
         neighbours = view.nodes_at_distance(1)
@@ -295,7 +271,7 @@ class StructureVerifier(IdObliviousAlgorithm):
 
     def _check_pivot(self, view: Neighbourhood) -> Verdict:
         r = view.center_label()[0]
-        depth = self._tree_depth(r)
+        depth = _tree_depth(self.tree_depth, r, self.bound_fn)
         coords: Set[Tuple[int, int]] = set()
         for u in view.nodes_at_distance(1):
             lab = view.label_of(u)
@@ -331,7 +307,7 @@ class StructureVerifier(IdObliviousAlgorithm):
                         return YES
         return NO
 
-    def evaluate(self, view: Neighbourhood) -> Verdict:
+    def _structure_verdict(self, view: Neighbourhood) -> Verdict:
         label = view.center_label()
         if is_pivot_label(label):
             return self._check_pivot(view)
@@ -340,36 +316,69 @@ class StructureVerifier(IdObliviousAlgorithm):
         return NO
 
 
-class BoundedIdsLDDecider(LocalAlgorithm):
-    """The LD decider of ``P`` (Theorem 1 under ``(B)``).
+class StructureVerifier(_StructureRules, IdObliviousAlgorithm):
+    """Id-oblivious horizon-1 verifier of ``P'`` (valid small instance or valid large tree).
 
-    Stage 1: run the Id-oblivious structure verifier (so anything outside
-    ``P'`` is rejected).  Stage 2: reject when the node's own identifier is
-    at least ``R(r)`` — identifiers that large cannot occur in a small
-    instance under assumption ``(B)``, but some identifier that large must
-    occur in the large instance ``Tr`` because it has more than ``R(r)``
-    nodes.
+    Per-node rules (Section 2's "straightforward to verify locally with the
+    help of coordinates"):
+
+    * every node and all its neighbours agree on ``r``;
+    * a coordinate node ``(r, x, y)`` checks ``0 <= x < 2^y`` and
+      ``0 <= y <= R(r)``, that every coordinate neighbour sits at a legal
+      relative position (parent, child, or horizontal neighbour) with no
+      duplicates, and that it is adjacent to at most one pivot;
+    * a coordinate node with **no** pivot neighbour must see its full
+      complement of tree neighbours (parent iff ``y > 0``, both children iff
+      ``y < R(r)``, horizontal neighbours iff they exist in the tree) — this
+      is how "medium" trees and pivot-less slabs get rejected;
+    * a pivot node must see exactly the border of a legal slab.
+
+    ``tree_depth`` lets experiments run the same verifier against stand-in
+    trees of smaller depth than the true ``R(r)`` (the structure rules are
+    identical; only the numeric depth differs).  ``None`` means ``R(r)``.
     """
 
     def __init__(
         self,
         bound_fn: Callable[[int], int] = default_bound,
         root_widths: Sequence[int] = (1, 2),
-        tree_depth_override: Optional[Callable[[int], int]] = None,
-        engine: EngineLike = None,
+        tree_depth: Optional[int] = None,
+    ) -> None:
+        super().__init__(radius=1, name="sec2-structure-verifier")
+        self.bound_fn = bound_fn
+        self.root_widths = tuple(root_widths)
+        self.tree_depth = tree_depth
+
+    evaluate = _StructureRules._structure_verdict
+
+
+class BoundedIdsLDDecider(_StructureRules, LocalAlgorithm):
+    """The LD decider of ``P`` (Theorem 1 under ``(B)``).
+
+    Stage 1: run the Id-oblivious structure rules of
+    :class:`StructureVerifier` on the view with its identifiers stripped
+    (so anything outside ``P'`` is rejected).  Stage 2: reject when the
+    node's own identifier is at least ``R(r)`` — identifiers that large
+    cannot occur in a small instance under assumption ``(B)``, but some
+    identifier that large must occur in the large instance ``Tr`` because
+    it has more than ``R(r)`` nodes.
+    """
+
+    def __init__(
+        self,
+        bound_fn: Callable[[int], int] = default_bound,
+        root_widths: Sequence[int] = (1, 2),
+        tree_depth: Optional[int] = None,
     ) -> None:
         super().__init__(radius=1, name="sec2-ld-decider")
         self.bound_fn = bound_fn
-        self.verifier = StructureVerifier(bound_fn, root_widths, tree_depth_override)
-        # Stage 1 is Id-oblivious, so a caching engine memoises it per ball
-        # type across nodes and identifier assignments.
-        self.engine = resolve_engine(engine)
+        self.root_widths = tuple(root_widths)
+        self.tree_depth = tree_depth
 
     def evaluate(self, view: Neighbourhood) -> Verdict:
-        if self.engine.evaluate_view(self.verifier, view.without_ids()) == NO:
+        if self._structure_verdict(view.without_ids()) == NO:
             return NO
-        label = view.center_label()
-        r = label[0]
+        r = view.center_label()[0]
         if view.center_id() >= bound_R(r, self.bound_fn):
             return NO
         return YES

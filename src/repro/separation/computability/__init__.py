@@ -21,9 +21,9 @@ from .separation_argument import (
 )
 from .randomized_decider import RandomisedObliviousDecider
 from .promise_cycles import (
+    BoundedBudgetObliviousDecider,
     HaltingPromiseProblem,
     IdSimulationDecider,
-    bounded_budget_oblivious_decider,
     machine_cycle_instance,
 )
 
@@ -51,6 +51,6 @@ __all__ = [
     "RandomisedObliviousDecider",
     "HaltingPromiseProblem",
     "IdSimulationDecider",
-    "bounded_budget_oblivious_decider",
+    "BoundedBudgetObliviousDecider",
     "machine_cycle_instance",
 ]

@@ -30,7 +30,7 @@ from ...graphs.generators import cycle_graph
 from ...graphs.identifiers import IdAssignment, sequential_assignment
 from ...graphs.labelled_graph import LabelledGraph
 from ...graphs.neighbourhood import Neighbourhood
-from ...local_model.algorithm import FunctionIdObliviousAlgorithm, IdObliviousAlgorithm, LocalAlgorithm
+from ...local_model.algorithm import IdObliviousAlgorithm, LocalAlgorithm
 from ...local_model.outputs import NO, YES, Verdict
 from ...turing.machine import TuringMachine
 
@@ -38,7 +38,7 @@ __all__ = [
     "machine_cycle_instance",
     "HaltingPromiseProblem",
     "IdSimulationDecider",
-    "bounded_budget_oblivious_decider",
+    "BoundedBudgetObliviousDecider",
 ]
 
 
@@ -146,7 +146,7 @@ class IdSimulationDecider(LocalAlgorithm):
         return NO if machine.run(budget, keep_history=False).halted else YES
 
 
-def bounded_budget_oblivious_decider(budget: int) -> IdObliviousAlgorithm:
+class BoundedBudgetObliviousDecider(IdObliviousAlgorithm):
     """An Id-oblivious candidate with a fixed simulation budget — necessarily incorrect.
 
     Without identifiers a computable node algorithm can only simulate ``M``
@@ -157,11 +157,13 @@ def bounded_budget_oblivious_decider(budget: int) -> IdObliviousAlgorithm:
     ``R ∉ LD*`` half of the promise problem concrete.
     """
 
-    def evaluate(view: Neighbourhood) -> Verdict:
+    def __init__(self, budget: int) -> None:
+        super().__init__(radius=0, name=f"oblivious-budget-{budget}")
+        self.budget = budget
+
+    def evaluate(self, view: Neighbourhood) -> Verdict:
         label = view.center_label()
         if not (isinstance(label, tuple) and len(label) == 2 and label[0] == "tm"):
             return NO
         machine = TuringMachine.decode(label[1])
-        return NO if machine.run(budget, keep_history=False).halted else YES
-
-    return FunctionIdObliviousAlgorithm(evaluate, radius=0, name=f"oblivious-budget-{budget}")
+        return NO if machine.run(self.budget, keep_history=False).halted else YES

@@ -23,6 +23,7 @@ Corollary-1 benchmark estimates empirically as a function of ``n``.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from ...graphs.neighbourhood import Neighbourhood
 from ...local_model.algorithm import RandomisedLocalAlgorithm
@@ -32,6 +33,12 @@ from .execution_graph import parse_cell_label
 from .local_checker import ExecutionGraphChecker
 
 __all__ = ["RandomisedObliviousDecider"]
+
+
+@lru_cache(maxsize=None)
+def _checker(radius: int) -> ExecutionGraphChecker:
+    """The stateless structure checker per radius: the decider keeps only primitive parameters."""
+    return ExecutionGraphChecker(radius=radius)
 
 
 class RandomisedObliviousDecider(RandomisedLocalAlgorithm):
@@ -48,7 +55,6 @@ class RandomisedObliviousDecider(RandomisedLocalAlgorithm):
         self.budget_base = budget_base
         self.max_simulation_steps = max_simulation_steps
         self.check_structure = check_structure
-        self._checker = ExecutionGraphChecker(radius=radius)
 
     def draw_budget(self, rng: random.Random) -> int:
         """Toss a fair coin until the first head and return ``base ** tosses``."""
@@ -58,7 +64,7 @@ class RandomisedObliviousDecider(RandomisedLocalAlgorithm):
         return min(self.budget_base**tosses, self.max_simulation_steps)
 
     def evaluate(self, view: Neighbourhood, rng: random.Random) -> Verdict:
-        if self.check_structure and self._checker.evaluate(view) == NO:
+        if self.check_structure and _checker(self.radius).evaluate(view) == NO:
             return NO
         parsed = parse_cell_label(view.center_label())
         if parsed is None:

@@ -32,10 +32,9 @@ def test_cell_not_b_not_c_identifiers_not_needed():
 
 def test_cell_b_separation():
     """(B, ·): the Section-2 witness is decidable with identifiers, not without."""
-    depth_fn = lambda r: 4  # noqa: E731
     fam = section2_family(r=2, tree_depth=4, bound_fn=small_bound)
-    prop = SmallInstancesProperty(bound_fn=small_bound, tree_depth_override=depth_fn)
-    ld = BoundedIdsLDDecider(bound_fn=small_bound, tree_depth_override=depth_fn)
+    prop = SmallInstancesProperty(bound_fn=small_bound, tree_depth=4)
+    ld = BoundedIdsLDDecider(bound_fn=small_bound, tree_depth=4)
     assert verify_decider(
         ld, prop, family=fam, id_space=BoundedIdentifierSpace(small_bound), samples=1
     ).correct

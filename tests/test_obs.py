@@ -376,6 +376,24 @@ def test_pool_job_spans_make_their_batch_a_non_leaf(tmp_path):
     assert aggregate(load_trace(str(tmp_path / "t.jsonl")))["job_latency"]["jobs"] == len(_jobs())
 
 
+def test_partly_replayed_batch_counts_its_replayed_jobs(tmp_path):
+    # The replayed jobs of a partly replayed batch have no span of their
+    # own; the persistent batch span carries their count instead.
+    from repro.engine import PersistentEngine, VerdictStore
+
+    jobs = [(cycle_graph(n, label="x"), None) for n in (9, 10, 11, 12)]
+    store = VerdictStore(tmp_path / "store")
+    PersistentEngine(store, inner="cached").run_many(Deg2Decider(), jobs[:2])
+    counts = []
+    for attempt in range(2):
+        trace_path = tmp_path / f"pass-{attempt}.jsonl"
+        trace.enable(trace_path)
+        PersistentEngine(store, inner="cached").run_many(Deg2Decider(), jobs)
+        trace.disable()
+        counts.append(aggregate(load_trace(str(trace_path)))["job_latency"]["jobs"])
+    assert counts == [4, 4]
+
+
 def test_leaf_batch_span_counts_each_job_at_its_share():
     spans = [
         {"kind": "direct.run_many", "id": "d.1", "parent": None, "t0": 0.0, "t1": 4.0, "attrs": {"jobs": 4}},

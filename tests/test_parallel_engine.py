@@ -4,7 +4,8 @@ The sharding contract: for any worker count — including the degenerate
 1-worker pool — the parallel backend produces verdicts and randomised-
 estimation statistics identical to the direct and cached backends.  The
 tests force sharding with ``adaptive=False`` so the pool paths are actually
-exercised on the small test instances.
+exercised on the small test instances.  Every decider here is built from
+module-level functions, so it pickles and its batches reach the pool.
 """
 
 import pytest
@@ -107,15 +108,28 @@ def _cycle_property():
     )
 
 
-def _cycle_decider():
-    def evaluate(view):
-        if view.center_degree() != 2:
-            return NO
-        if any(view.label_of(v) != "x" for v in view.nodes()):
-            return NO
-        return YES
+def _cycle_verdict(view):
+    if view.center_degree() != 2:
+        return NO
+    if any(view.label_of(v) != "x" for v in view.nodes()):
+        return NO
+    return YES
 
-    return FunctionIdObliviousAlgorithm(evaluate, radius=1, name="cycle-decider")
+
+def _cycle_decider():
+    return FunctionIdObliviousAlgorithm(_cycle_verdict, radius=1, name="cycle-decider")
+
+
+def _parity_verdict(view):
+    return YES if view.max_visible_identifier() % 2 == 0 else NO
+
+
+def _always_yes(view):
+    return YES
+
+
+def _pool_batches(engine):
+    return engine.stats.extra.get("parallel_batches", 0)
 
 
 def _verdict_matrix(engine):
@@ -137,13 +151,15 @@ def test_verify_decider_reports_match_across_backends():
     family = _cycle_path_family()
     prop = _cycle_property()
     reports = {}
+    pooled = _parallel(2)
     for key, engine in [
         ("direct", DirectEngine()),
         ("cached", CachedEngine()),
-        ("parallel-2", _parallel(2)),
+        ("parallel-2", pooled),
         ("parallel-1", _parallel(1)),
     ]:
         reports[key] = verify_decider(_cycle_decider(), prop, family=family, samples=5, engine=engine)
+    assert _pool_batches(pooled) >= 1
     baseline = reports["direct"]
     for report in reports.values():
         assert report.correct
@@ -157,17 +173,18 @@ def test_verify_decider_reports_match_across_backends():
 
 
 def test_property_p_scenario_matches_direct():
-    depth_fn = lambda r: 4  # noqa: E731
     fam = section2_family(r=2, tree_depth=4, bound_fn=small_bound)
-    prop = SmallInstancesProperty(bound_fn=small_bound, tree_depth_override=depth_fn)
+    prop = SmallInstancesProperty(bound_fn=small_bound, tree_depth=4)
     space = BoundedIdentifierSpace(small_bound)
 
     def verify(engine):
-        decider = BoundedIdsLDDecider(bound_fn=small_bound, tree_depth_override=depth_fn)
+        decider = BoundedIdsLDDecider(bound_fn=small_bound, tree_depth=4)
         return verify_decider(decider, prop, family=fam, id_space=space, samples=2, engine=engine)
 
     direct = verify(DirectEngine())
-    parallel = verify(_parallel(2))
+    pooled = _parallel(2)
+    parallel = verify(pooled)
+    assert _pool_batches(pooled) >= 1
     assert direct.correct and parallel.correct
     assert direct.assignments_checked == parallel.assignments_checked
     assert direct.summary() == parallel.summary()
@@ -185,9 +202,7 @@ def test_single_graph_runs_stay_in_process():
 
     graph = grid_graph(24, 24, label="g")
     ids = sequential_assignment(graph)
-    parity = FunctionAlgorithm(
-        lambda view: YES if view.max_visible_identifier() % 2 == 0 else NO, radius=2, name="parity"
-    )
+    parity = FunctionAlgorithm(_parity_verdict, radius=2, name="parity")
     assert graph.num_nodes() * (parity.radius + 1) >= 3 * POOL_MIN_UNITS
     forks_before = get_pool().forks
     engine = _parallel(2)
@@ -209,6 +224,7 @@ def test_stats_are_exact_even_when_a_worker_takes_several_chunks():
         outputs = engine.run_many(_cycle_decider(), [(g, None) for g in graphs])
         assert len(outputs) == 16
         assert engine.stats.nodes_run == 16 * 12
+        assert _pool_batches(engine) == 1
 
 
 def test_empty_sweeps_short_circuit_without_forking():
@@ -227,20 +243,6 @@ def test_empty_sweeps_short_circuit_without_forking():
     assert get_pool().forks == forks_before
 
 
-def test_inherited_payload_is_cleared_after_each_batch():
-    # The fork-inheritance global (used for unpicklable payloads) must
-    # never leak between batches: a stale payload would let a later fork
-    # adopt yesterday's jobs.  The pool clears it in a finally.
-    import repro.engine.pool as pool_mod
-
-    engine = _parallel(2)
-    graphs = [cycle_graph(12, label="x") for _ in range(4)]
-    outputs = engine.run_many(_cycle_decider(), [(g, None) for g in graphs])
-    assert len(outputs) == 4
-    assert engine.stats.extra.get("parallel_batches", 0) >= 1
-    assert pool_mod._INHERITED is None
-
-
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_verdicts_identical_across_workers_and_partitioning(workers):
     # Serial and parallel verdicts byte-identical for workers in {1, 2, 4}
@@ -254,11 +256,11 @@ def test_verdicts_identical_across_workers_and_partitioning(workers):
     coin = _coin_decider()
     rjobs = [(g, None, 100 + k) for k, (g, _) in enumerate(jobs)]
     assert engine.run_randomised_many(coin, rjobs) == serial.run_randomised_many(coin, rjobs)
+    if workers > 1:
+        assert _pool_batches(engine) == 2
     graph = grid_graph(6, 6, label="g")
     ids = sequential_assignment(graph)
-    parity = FunctionAlgorithm(
-        lambda view: YES if view.max_visible_identifier() % 2 == 0 else NO, radius=1, name="parity"
-    )
+    parity = FunctionAlgorithm(_parity_verdict, radius=1, name="parity")
     assert engine.run(parity, graph, ids) == serial.run(parity, graph, ids)
     assert engine.run_randomised(coin, graph, seed=7) == serial.run_randomised(coin, graph, seed=7)
 
@@ -277,10 +279,12 @@ def test_one_worker_pool_is_serial_but_equivalent():
 # ---------------------------------------------------------------------- #
 
 
+def _coin_verdict(view, rng):
+    return YES if rng.random() < 0.7 else NO
+
+
 def _coin_decider():
-    return FunctionRandomisedAlgorithm(
-        lambda view, rng: YES if rng.random() < 0.7 else NO, radius=1, name="biased-coin"
-    )
+    return FunctionRandomisedAlgorithm(_coin_verdict, radius=1, name="biased-coin")
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -293,15 +297,17 @@ def test_randomised_run_is_shard_independent(workers):
 
 def test_estimation_statistics_match_serial_backends():
     graph = cycle_graph(24, label="x")
+    pooled = _parallel(2)
     estimates = {
         key: estimate_acceptance_probability(_coin_decider(), graph, trials=10, seed=5, engine=engine)
         for key, engine in [
             ("direct", DirectEngine()),
             ("cached", CachedEngine()),
-            ("parallel-2", _parallel(2)),
+            ("parallel-2", pooled),
             ("parallel-1", _parallel(1)),
         ]
     }
+    assert _pool_batches(pooled) >= 1
     baseline = estimates["direct"]
     for estimate in estimates.values():
         assert estimate.accepts == baseline.accepts
@@ -317,8 +323,10 @@ def test_estimation_statistics_match_serial_backends():
 def test_first_counterexample_cites_assignment():
     family = _cycle_path_family(sizes=(8,))
     prop = _cycle_property()
-    always_yes = FunctionIdObliviousAlgorithm(lambda view: YES, radius=1, name="always-yes")
-    report = verify_decider(always_yes, prop, family=family, samples=2, engine=_parallel(2))
+    always_yes = FunctionIdObliviousAlgorithm(_always_yes, radius=1, name="always-yes")
+    pooled = _parallel(2)
+    report = verify_decider(always_yes, prop, family=family, samples=2, engine=pooled)
+    assert _pool_batches(pooled) >= 1
     assert not report.correct
     first = report.first_counterexample
     assert first is not None
@@ -333,7 +341,7 @@ def test_first_counterexample_cites_assignment():
 def test_stop_at_first_failure_still_reports_assignment():
     family = _cycle_path_family(sizes=(8,))
     prop = _cycle_property()
-    always_yes = FunctionIdObliviousAlgorithm(lambda view: YES, radius=1, name="always-yes")
+    always_yes = FunctionIdObliviousAlgorithm(_always_yes, radius=1, name="always-yes")
     report = verify_decider(
         always_yes, prop, family=family, samples=2, stop_at_first_failure=True, engine=_parallel(2)
     )

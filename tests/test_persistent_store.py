@@ -10,6 +10,10 @@ verdict, not the store.
 
 import json
 import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,7 +44,9 @@ from repro.local_model import (
     run_algorithm,
     run_randomised_algorithm,
 )
+from repro.campaign.scenarios import all_scenarios
 from repro.properties import RegularPathProperty
+from repro.workloads.matrix import default_matrix
 
 # ---------------------------------------------------------------------- #
 # Shared workload: the cycles-vs-paths sweep
@@ -62,29 +68,36 @@ def _cycle_path_family(sizes=(8, 12)):
     )
 
 
-def _cycle_decider():
-    def evaluate(view):
-        if view.center_degree() != 2:
-            return NO
-        if any(view.label_of(v) != "x" for v in view.nodes()):
-            return NO
-        return YES
+# Module-level functions, so the deciders pickle and their batches reach
+# the worker pool of a ParallelEngine.
 
-    return FunctionIdObliviousAlgorithm(evaluate, radius=1, name="cycle-decider")
+
+def _cycle_verdict(view):
+    if view.center_degree() != 2:
+        return NO
+    if any(view.label_of(v) != "x" for v in view.nodes()):
+        return NO
+    return YES
+
+
+def _cycle_decider():
+    return FunctionIdObliviousAlgorithm(_cycle_verdict, radius=1, name="cycle-decider")
+
+
+def _parity_verdict(view):
+    return YES if view.max_visible_identifier() % 2 == 0 else NO
 
 
 def _id_decider():
-    return FunctionAlgorithm(
-        lambda view: YES if view.max_visible_identifier() % 2 == 0 else NO,
-        radius=1,
-        name="parity",
-    )
+    return FunctionAlgorithm(_parity_verdict, radius=1, name="parity")
+
+
+def _coin_verdict(view, rng):
+    return YES if rng.random() < 0.7 else NO
 
 
 def _coin_decider():
-    return FunctionRandomisedAlgorithm(
-        lambda view, rng: YES if rng.random() < 0.7 else NO, radius=1, name="biased-coin"
-    )
+    return FunctionRandomisedAlgorithm(_coin_verdict, radius=1, name="biased-coin")
 
 
 def _verify(engine, samples=4):
@@ -329,6 +342,81 @@ def test_fingerprint_sees_edits_inside_nested_functions():
     # Closure-carried callables are covered too.
     assert algorithm_fingerprint(make(lambda: 1)) is not None
     assert algorithm_fingerprint(make(lambda: 1)) != algorithm_fingerprint(make(lambda: -1))
+
+
+_HELPER_DECIDER_SOURCE = """
+from repro.local_model import NO, YES, IdObliviousAlgorithm
+
+
+class HelperDecider(IdObliviousAlgorithm):
+    def __init__(self):
+        super().__init__(radius=1, name="helper")
+
+    def helper(self, view):
+        return view.center_degree() == {degree}
+
+    def evaluate(self, view):
+        return YES if self.helper(view) else NO
+"""
+
+
+def _helper_decider(degree):
+    # The same module and class name each time: only the helper's body differs.
+    namespace = {"__name__": __name__}
+    exec(_HELPER_DECIDER_SOURCE.format(degree=degree), namespace)
+    return namespace["HelperDecider"]()
+
+
+def test_fingerprint_sees_edits_to_helper_methods():
+    # evaluate is unchanged; the helper it calls is edited.  A fingerprint
+    # of evaluate alone would replay the old helper's verdicts.
+    before = _helper_decider(2)
+    assert algorithm_fingerprint(before) is not None
+    assert algorithm_fingerprint(before) == algorithm_fingerprint(_helper_decider(2))
+    assert algorithm_fingerprint(before) != algorithm_fingerprint(_helper_decider(3))
+
+
+_FROZENSET_FINGERPRINT = """
+from repro.engine import algorithm_fingerprint
+from repro.local_model import NO, YES, IdObliviousAlgorithm
+
+
+class LabelSetDecider(IdObliviousAlgorithm):
+    def evaluate(self, view):
+        return YES if view.center_label() in {"alpha", "beta", "gamma", "delta"} else NO
+
+
+print(algorithm_fingerprint(LabelSetDecider(radius=0)))
+"""
+
+
+def test_fingerprint_of_a_frozenset_constant_ignores_the_hash_seed():
+    # `x in {"a", "b"}` compiles to a frozenset constant whose iteration
+    # order follows the per-process string hash seed.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    tokens = {
+        subprocess.run(
+            [sys.executable, "-c", _FROZENSET_FINGERPRINT],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+        for seed in ("1", "2", "3")
+    }
+    assert len(tokens) == 1 and tokens != {"None"}
+
+
+def test_every_bundled_and_matrix_decider_pickles_and_fingerprints():
+    # Pool payloads travel pickled, and only fingerprinted deciders replay
+    # from the verdict store: each bundled or matrix decider must do both.
+    specs = all_scenarios() + default_matrix(0).scenarios()
+    assert len(specs) == 224
+    for spec in specs:
+        decider = spec.build(spec, spec.ladder(True)).decider
+        fingerprint = algorithm_fingerprint(decider)
+        assert fingerprint is not None, spec.name
+        assert algorithm_fingerprint(pickle.loads(pickle.dumps(decider))) == fingerprint, spec.name
 
 
 def test_equal_graphs_with_different_node_orders_do_not_cross_replay(tmp_path):

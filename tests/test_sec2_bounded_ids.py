@@ -29,7 +29,6 @@ from repro.separation.bounded_ids import (
 )
 
 DEPTH = 4
-DEPTH_FN = lambda r: DEPTH  # noqa: E731
 
 
 # ---------------------------------------------------------------------- #
@@ -105,8 +104,8 @@ def test_bound_R_exceeds_small_instance_sizes():
 
 def test_ground_truth_membership():
     fam = section2_family(r=2, tree_depth=DEPTH, bound_fn=small_bound)
-    P = SmallInstancesProperty(bound_fn=small_bound, tree_depth_override=DEPTH_FN)
-    Pp = SmallOrLargeProperty(bound_fn=small_bound, tree_depth_override=DEPTH_FN)
+    P = SmallInstancesProperty(bound_fn=small_bound, tree_depth=DEPTH)
+    Pp = SmallOrLargeProperty(bound_fn=small_bound, tree_depth=DEPTH)
     assert all(P.contains(g) for g in fam.yes)
     assert not any(P.contains(g) for g in fam.no)
     # P' additionally contains the large instance but not the corrupted ones.
@@ -117,7 +116,7 @@ def test_ground_truth_membership():
 
 def test_structure_verifier_is_an_ldstar_witness_for_p_prime():
     fam = section2_family(r=2, tree_depth=DEPTH, bound_fn=small_bound)
-    verifier = StructureVerifier(bound_fn=small_bound, tree_depth_override=DEPTH_FN)
+    verifier = StructureVerifier(bound_fn=small_bound, tree_depth=DEPTH)
     assert all(decide(verifier, g) for g in fam.yes)
     assert decide(verifier, fam.no[0])  # the large instance is in P'
     assert not decide(verifier, fam.no[1])
@@ -126,8 +125,8 @@ def test_structure_verifier_is_an_ldstar_witness_for_p_prime():
 
 def test_ld_decider_decides_p_with_identifiers():
     fam = section2_family(r=2, tree_depth=DEPTH, bound_fn=small_bound)
-    P = SmallInstancesProperty(bound_fn=small_bound, tree_depth_override=DEPTH_FN)
-    decider = BoundedIdsLDDecider(bound_fn=small_bound, tree_depth_override=DEPTH_FN)
+    P = SmallInstancesProperty(bound_fn=small_bound, tree_depth=DEPTH)
+    decider = BoundedIdsLDDecider(bound_fn=small_bound, tree_depth=DEPTH)
     report = verify_decider(
         decider, P, family=fam, id_space=BoundedIdentifierSpace(small_bound), samples=2
     )

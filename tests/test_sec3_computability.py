@@ -7,6 +7,7 @@ from repro.graphs import sequential_assignment
 from repro.local_model import NO, YES
 from repro.turing import BLANK, halting_machine, looping_machine, walker_machine
 from repro.separation.computability import (
+    BoundedBudgetObliviousDecider,
     ComputabilityLDDecider,
     ComputabilityWitnessProperty,
     ExecutionGraphChecker,
@@ -14,7 +15,6 @@ from repro.separation.computability import (
     HaltingPromiseProblem,
     IdSimulationDecider,
     RandomisedObliviousDecider,
-    bounded_budget_oblivious_decider,
     build_execution_graph,
     candidate_always_accept,
     candidate_halt_scanner,
@@ -55,7 +55,7 @@ def test_halting_promise_problem():
     assert decide(decider, yes, prob.instance_ids(yes))
     assert not decide(decider, no, prob.instance_ids(no))
     # Any fixed-budget Id-oblivious candidate is defeated by a slower machine.
-    candidate = bounded_budget_oblivious_decider(budget=3)
+    candidate = BoundedBudgetObliviousDecider(budget=3)
     slow_no = prob.no_instance(walker_machine(6, "0"))
     assert decide(candidate, slow_no)  # wrongly accepts: the machine halts after its budget
     assert not prob.contains(slow_no)

@@ -5,15 +5,18 @@ themselves with ``shutdown_pool()`` to start from a known-cold state; the
 pool re-forks lazily afterwards, so shutting it down never breaks later
 tests.  The load-bearing claims: workers survive across sweeps with zero
 re-forks, identical payloads are never re-shipped, a killed worker is
-replaced without losing a batch, shutdown is idempotent, unpicklable
-payloads fall back to fork inheritance, verdict-store replay happens in
-the parent only (workers never open the store), and an adaptive engine
-routes a batch by its size alone, whatever ran before it.
+replaced without losing a batch, shutdown is idempotent, an unpicklable
+decider runs in-process, a worker that cannot unpickle a payload is
+replaced by a fresh fork, verdict-store replay happens in the parent only
+(workers never open the store), and an adaptive engine routes a batch by
+its size alone, whatever ran before it.
 """
 
 import os
 import signal
+import sys
 import time
+import types
 
 import pytest
 
@@ -51,6 +54,17 @@ class CoinAlgorithm:
 
     def evaluate(self, view, rng):
         return YES if rng.random() < 0.5 else NO
+
+
+class ExplodingDecider:
+    """Module-level decider whose every evaluation raises."""
+
+    name = "exploding"
+    radius = 1
+    uses_identifiers = False
+
+    def evaluate(self, view):
+        raise ZeroDivisionError("boom")
 
 
 def _jobs(count=8, size=12):
@@ -171,47 +185,77 @@ def test_killed_worker_is_replaced_without_losing_the_batch(cold_pool):
 
 
 def test_worker_error_propagates_and_pool_stays_usable(cold_pool):
-    class Exploding:
-        name = "exploding"
-        radius = 1
-        uses_identifiers = False
-
-        def evaluate(self, view):
-            raise ZeroDivisionError("boom")
-
     engine = ParallelEngine(workers=2, adaptive=False)
     with pytest.raises(ZeroDivisionError, match="boom"):
-        engine.run_many(Exploding(), _jobs())
+        engine.run_many(ExplodingDecider(), _jobs())
     # The failure neither killed the workers nor desynchronised the pipes.
     assert cold_pool.alive_workers() == 2
     assert engine.run_many(Deg2Decider(), _jobs()) == CachedEngine().run_many(Deg2Decider(), _jobs())
 
 
 # ---------------------------------------------------------------------- #
-# Unpicklable payloads: the fork-inheritance fallback
+# Payloads travel pickled, or not at all
 # ---------------------------------------------------------------------- #
 
 
-def test_unpicklable_payload_falls_back_to_fork_inheritance(cold_pool):
+def test_unpicklable_decider_runs_in_process(cold_pool):
     decider = FunctionIdObliviousAlgorithm(
         lambda view: YES if view.center_degree() == 2 else NO, radius=1, name="lambda-deg2"
     )
     engine = ParallelEngine(workers=2, adaptive=False)
     jobs = _jobs()
-    forks_before = cold_pool.forks
-    bytes_before = cold_pool.payload_ship_bytes
+    counters = cold_pool.counters()
     outputs = engine.run_many(decider, jobs)
     assert outputs == CachedEngine().run_many(decider, jobs)
-    forks = cold_pool.forks
-    assert forks - forks_before >= 2
-    assert cold_pool.payload_ship_bytes == bytes_before  # inherited, never pickled
-    # The inherited generation is cached too: an identical sweep re-forks
-    # nothing, while a *new* payload must re-fork (that is the fallback's
-    # documented cost).
+    # Nothing was forked or shipped: the batch never reached the pool.
+    assert cold_pool.counters() == counters
+    assert cold_pool.alive_workers() == 0
+    assert "parallel_batches" not in engine.stats.extra
+    # A warm pool changes nothing: the next picklable batch uses it, the
+    # unpicklable one still runs in-process.
+    engine.run_many(Deg2Decider(), jobs)
+    counters = cold_pool.counters()
     assert engine.run_many(decider, jobs) == outputs
-    assert cold_pool.forks == forks
-    engine.run_many(decider, _jobs(count=6))
-    assert cold_pool.forks > forks
+    assert cold_pool.counters() == counters
+
+
+_LATE_MODULE_SOURCE = """
+from repro.local_model import NO, YES
+
+
+class LateDeg2Decider:
+    name = "late-deg2"
+    radius = 1
+    uses_identifiers = False
+
+    def evaluate(self, view):
+        return YES if view.center_degree() == 2 else NO
+"""
+
+
+def test_worker_forked_before_a_class_existed_is_replaced(cold_pool):
+    engine = ParallelEngine(workers=2, adaptive=False)
+    jobs = _jobs()
+    engine.run_many(Deg2Decider(), jobs)  # warm: both workers forked now
+    forks = cold_pool.forks
+    # A class importable only after the workers forked: it pickles by
+    # reference in the parent, but the warm workers cannot resolve it.
+    module = types.ModuleType("late_pool_deciders")
+    exec(_LATE_MODULE_SOURCE, module.__dict__)
+    sys.modules[module.__name__] = module
+    try:
+        decider = module.LateDeg2Decider()
+        engine.reset_stats()
+        outputs = engine.run_many(decider, jobs)
+        assert outputs == CachedEngine().run_many(decider, jobs)
+        # Each worker answered payload-error, was replaced by a fresh fork
+        # and shipped the payload again; the batch still ran on the pool.
+        assert engine.stats.extra["parallel_batches"] == 1
+        assert cold_pool.forks == forks + 2
+        assert engine.stats.extra["worker_deaths_recovered"] == 2
+        assert cold_pool.alive_workers() == 2
+    finally:
+        del sys.modules[module.__name__]
 
 
 # ---------------------------------------------------------------------- #
