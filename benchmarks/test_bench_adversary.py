@@ -27,7 +27,7 @@ from repro.adversary import (
     ParityAuditMISDecider,
     find_counterexample,
 )
-from repro.adversary.cli import hunt_scenario, search_scenarios
+from repro.campaign import bundled_scenarios
 from repro.decision import InstanceFamily, decide
 from repro.graphs import cycle_graph
 from repro.properties import MaximalIndependentSetProperty, ProperColouringProperty
@@ -72,6 +72,24 @@ def _hunt(trap, strategy, shrink=False):
         shrink=shrink,
     )
     return report, time.perf_counter() - start
+
+
+def _hunt_quick_spec(spec, strategy):
+    """Hunt one bundled search scenario at its quick rung, without shrinking."""
+    workload = spec.build(spec, spec.ladder(True))
+    return find_counterexample(
+        workload.decider,
+        prop=workload.prop,
+        family=workload.family,
+        strategy=strategy,
+        id_space=workload.id_space,
+        pool_factory=workload.pool_factory,
+        max_evaluations=spec.search_budget(True),
+        batch_size=spec.batch_size,
+        seed=spec.seed,
+        engine=spec.engine,
+        shrink=False,
+    )
 
 
 def test_bench_guided_search_beats_exhaustive_enumeration():
@@ -126,9 +144,11 @@ def test_bench_guided_search_beats_exhaustive_enumeration():
     # Beyond-reach rungs: the bundled quick scenarios, same budget for both
     # strategies — guided lands the defeat, exhaustive never gets there.
     beyond = {}
-    for spec in search_scenarios():
-        guided = hunt_scenario(spec, quick=True, shrink=False)
-        exhaustive = hunt_scenario(spec, strategy="exhaustive", quick=True, shrink=False)
+    for spec in bundled_scenarios():
+        if spec.kind != "search":
+            continue
+        guided = _hunt_quick_spec(spec, spec.strategy)
+        exhaustive = _hunt_quick_spec(spec, "exhaustive")
         assert guided.found, f"{spec.name}: guided hunt must defeat the trap"
         assert not exhaustive.found, f"{spec.name}: quick rung should exceed exhaustive reach"
         assert guided.executions < exhaustive.executions

@@ -14,11 +14,13 @@ The package is organised as follows:
 * :mod:`repro.adversary` — guided adversarial search for identifier
   assignments defeating candidate deciders (seedable strategies, the
   batched ``find_counterexample`` driver, delta-debugging shrinking to
-  minimal witnesses, and the ``python -m repro.adversary`` CLI);
+  minimal witnesses, and the ``python -m repro.adversary`` CLI, which runs
+  the campaign's ``search`` scenarios through the shared sweep path);
 * :mod:`repro.campaign` — declarative experiment campaigns: scenario specs
   over the paper's constructions, a runner collecting verdicts / timings /
   engine statistics into JSON reports, and the ``python -m repro.campaign``
-  CLI;
+  CLI whose sweep options and run/report/gate path the workloads and
+  adversary CLIs share;
 * :mod:`repro.decision` — labelled graph properties, decision semantics,
   classes LD / LD* / NLD / BPLD, the generic Id-oblivious simulation ``A*``,
   randomised (p, q)-deciders;

@@ -11,25 +11,27 @@ guided, batched, resumable workload instead of exhaustive enumeration:
   that proposes candidate batches and evaluates them through the engines'
   batched :meth:`~repro.engine.base.ExecutionEngine.run_many` seam (so
   :class:`~repro.engine.parallel.ParallelEngine` shards the hunt and a
-  verdict store replays probes across resumed hunts), plus
-  :func:`adversarial_verify` backing ``verify_decider(search=...)``;
+  verdict store replays probes across resumed hunts); its family-hunt
+  loop :func:`hunt_family` also backs ``verify_decider(search=...)``;
 * :mod:`repro.adversary.shrink` — delta-debugging minimisation of found
   counter-examples to fewest nodes and smallest identifiers
   (:func:`shrink_counterexample` → :class:`MinimalCounterExample`);
 * :mod:`repro.adversary.candidates` — identifier-dependent trap deciders
   wrong only in an exponentially small corner of the assignment space,
   the workloads the campaign's search scenarios hunt;
-* :mod:`repro.adversary.cli` — the ``python -m repro.adversary`` command
-  (``--strategy``, ``--budget``, ``--compare``).
+* :mod:`repro.adversary.cli` — the ``python -m repro.adversary`` command:
+  the campaign's ``search`` scenarios run through the shared sweep path
+  (:func:`repro.campaign.cli.run_sweep`), with ``--strategy``,
+  ``--budget`` and ``--compare`` as spec overrides.
 """
 
 from .candidates import LazyGuardColouringDecider, ParityAuditMISDecider
 from .search import (
     InstanceHunt,
     SearchReport,
-    adversarial_verify,
     default_pool,
     find_counterexample,
+    hunt_family,
     hunt_instance,
 )
 from .shrink import MinimalCounterExample, shrink_counterexample
@@ -53,8 +55,8 @@ __all__ = [
     "SearchReport",
     "default_pool",
     "hunt_instance",
+    "hunt_family",
     "find_counterexample",
-    "adversarial_verify",
     "MinimalCounterExample",
     "shrink_counterexample",
     "LazyGuardColouringDecider",

@@ -1,5 +1,13 @@
 """``python -m repro.adversary`` — hunt defeating identifier assignments.
 
+A hunt is an ordinary campaign ``search`` scenario: this command applies
+``--strategy`` / ``--budget`` / ``--compare`` to the bundled search specs
+and runs them through the sweep path it shares with ``python -m
+repro.campaign`` (:func:`repro.campaign.cli.run_sweep`), so every sweep
+option (``--store``, ``--resume``, ``--min-replayed``, ``--trace``, ...)
+applies to hunts too.  The workload matrix's search cells are hunted by
+``python -m repro.workloads --run --kind search``.
+
 Examples
 --------
 
@@ -7,22 +15,23 @@ List the bundled adversarial targets (the campaign's ``search`` scenarios)::
 
     PYTHONPATH=src python -m repro.adversary --list
 
-Hunt one target with the default mutation/hill-climbing strategy and print
-the shrunk minimal witness::
+Hunt one target with its declared strategy and print the shrunk minimal
+witness::
 
     PYTHONPATH=src python -m repro.adversary adv-mis-parity --quick
 
-Compare every strategy's executions-to-defeat on all targets (the table
-behind ``benchmarks/BENCH_adversary.json``)::
+Compare every strategy's executions-to-defeat on all targets::
 
     PYTHONPATH=src python -m repro.adversary --compare --quick
 
-Resume a hunt against a persistent verdict store — probes settled by an
-earlier hunt replay from disk::
+Hunt against a persistent verdict store — the second pass replays every
+probe from disk::
 
-    PYTHONPATH=src python -m repro.adversary adv-colour-guard \\
-        --store /tmp/verdicts --seed 7
+    PYTHONPATH=src python -m repro.adversary --quick --store /tmp/hunt-store
+    PYTHONPATH=src python -m repro.adversary --quick --store /tmp/hunt-store \\
+        --min-replayed 1.0
 
+No report file is written unless ``--output`` (or ``--resume``) names one.
 The process exits non-zero when any target misbehaves: a trap that should
 be defeated survives its budget, or a hunt on a sound decider finds a
 defeat.
@@ -31,65 +40,21 @@ defeat.
 from __future__ import annotations
 
 import argparse
-import json
-from pathlib import Path
+import dataclasses
 from typing import List, Optional, Sequence
 
 from ..analysis.reporting import format_table
-from ..campaign.runner import StoreLike, _resolve_store
-from ..campaign.scenarios import all_scenarios, get_scenario
+from ..campaign.cli import add_sweep_options, in_range, run_sweep
+from ..campaign.scenarios import bundled_scenarios
 from ..campaign.spec import ScenarioSpec
-from ..engine.base import resolve_engine
-from .search import SearchReport, find_counterexample
 from .strategies import strategy_names
 
-__all__ = ["main", "build_parser", "search_scenarios", "hunt_scenario"]
+__all__ = ["main", "build_parser", "search_scenarios"]
 
 
 def search_scenarios() -> List[ScenarioSpec]:
-    """The addressable adversarial targets: campaign scenarios of kind ``search``.
-
-    Includes registered workload-matrix cells once
-    :func:`repro.workloads.install_matrix` has run (the CLI's
-    ``--workloads`` flag), so matrix hunts are driven like bundled ones.
-    """
-    return [spec for spec in all_scenarios() if spec.kind == "search"]
-
-
-def hunt_scenario(
-    spec: ScenarioSpec,
-    strategy: Optional[str] = None,
-    budget: Optional[int] = None,
-    batch: Optional[int] = None,
-    seed: Optional[int] = None,
-    quick: bool = False,
-    engine=None,
-    store: StoreLike = None,
-    shrink: bool = True,
-) -> SearchReport:
-    """Run one search scenario's hunt, with optional CLI overrides."""
-    workload = spec.build(spec, spec.ladder(quick))
-    eng = resolve_engine(engine if engine is not None else spec.engine)
-    verdict_store, owns_store = _resolve_store(store)
-    if verdict_store is not None:
-        eng = eng.with_store(verdict_store)
-    try:
-        return find_counterexample(
-            workload.decider,
-            prop=workload.prop,
-            family=workload.family,
-            strategy=strategy if strategy is not None else spec.strategy,
-            id_space=workload.id_space,
-            pool_factory=workload.pool_factory,
-            max_evaluations=budget if budget is not None else spec.search_budget(quick),
-            batch_size=batch if batch is not None else spec.batch_size,
-            seed=seed if seed is not None else spec.seed,
-            engine=eng,
-            shrink=shrink,
-        )
-    finally:
-        if owns_store and verdict_store is not None:
-            verdict_store.close()
+    """The addressable adversarial targets: bundled campaign scenarios of kind ``search``."""
+    return [spec for spec in bundled_scenarios() if spec.kind == "search"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,18 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--list", action="store_true", help="list addressable targets and exit")
     parser.add_argument(
-        "--workloads",
-        action="store_true",
-        help="register the workload matrix's search cells as additional targets",
-    )
-    parser.add_argument(
-        "--matrix-seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="matrix seed used with --workloads (default: 0)",
-    )
-    parser.add_argument(
         "--strategy",
         default=None,
         choices=strategy_names(),
@@ -126,41 +79,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--budget",
-        type=int,
+        type=in_range(int, 1),
         default=None,
         metavar="N",
         help="per-instance execution budget override",
     )
     parser.add_argument(
-        "--batch", type=int, default=None, metavar="N", help="candidates proposed per batch"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, metavar="N", help="search seed override"
-    )
-    parser.add_argument(
-        "--engine",
-        default=None,
-        choices=["direct", "synchronous", "cached", "parallel"],
-        help="execution backend override (default: each target's declared backend)",
-    )
-    parser.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="persistent verdict store: probes settled by earlier hunts replay from disk",
-    )
-    parser.add_argument("--quick", action="store_true", help="smaller ladders and budgets")
-    parser.add_argument(
-        "--no-shrink", action="store_true", help="skip delta-debugging the found counterexample"
-    )
-    parser.add_argument(
         "--compare",
         action="store_true",
-        help="hunt each target with every strategy and tabulate executions-to-defeat",
+        help="hunt each target with every strategy (one TARGET/STRATEGY scenario each)",
     )
-    parser.add_argument(
-        "--output", default=None, metavar="PATH", help="write the hunt reports as JSON"
-    )
+    add_sweep_options(parser, None)
     return parser
 
 
@@ -180,64 +109,30 @@ def _list_targets() -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.workloads:
-        from ..workloads import install_matrix
-
-        install_matrix(seed=args.matrix_seed, kinds=("search",))
     if args.list:
         print(_list_targets())
         return 0
-    known = [spec.name for spec in search_scenarios()]
-    names = args.targets or known
+    known = {spec.name: spec for spec in search_scenarios()}
+    names = args.targets or list(known)
     unknown = sorted(set(names) - set(known))
     if unknown:
         parser.error(f"unknown target(s) {unknown}; see --list")
     if args.compare and args.strategy is not None:
         parser.error("--compare runs every strategy; drop --strategy")
-    strategies = strategy_names() if args.compare else [args.strategy]
-    payload = []
-    rows = []
-    ok = True
-    for name in names:
-        spec = get_scenario(name)
-        for strategy in strategies:
-            report = hunt_scenario(
-                spec,
-                strategy=strategy,
-                budget=args.budget,
-                batch=args.batch,
-                seed=args.seed,
-                quick=args.quick,
-                engine=args.engine,
-                store=args.store,
-                shrink=not args.no_shrink,
-            )
-            behaved = report.found == (not spec.expect_correct)
-            ok = ok and behaved
-            rows.append([
-                name,
-                report.strategy,
-                "defeated" if report.found else "survived",
-                report.executions,
-                "-" if report.minimal is None else report.minimal.counter.graph.num_nodes(),
-                "-" if report.minimal is None else report.minimal.checks,
-                "ok" if behaved else "UNEXPECTED",
-            ])
-            payload.append(report.as_dict())
-            if not args.compare:
-                print(report.summary())
-    print(format_table(
-        ["target", "strategy", "outcome", "executions", "minimal n", "shrink checks", "status"],
-        rows,
-        title="adversarial hunts",
-    ))
-    if args.output:
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"report written to {path}")
-    print(f"adversary {'OK' if ok else 'FAILED'}")
-    return 0 if ok else 1
+    # Overrides land in the spec, whose digest covers strategy and budget,
+    # so --resume never reuses a hunt recorded under other settings.
+    budget = {} if args.budget is None else dict(max_evaluations=args.budget, quick_max_evaluations=0)
+    specs = [dataclasses.replace(known[name], **budget) for name in names]
+    if args.compare:
+        specs = [
+            dataclasses.replace(spec, name=f"{spec.name}/{strategy}", strategy=strategy)
+            for spec in specs
+            for strategy in strategy_names()
+        ]
+    elif args.strategy is not None:
+        specs = [dataclasses.replace(spec, strategy=args.strategy) for spec in specs]
+    return run_sweep(parser, args, specs, quick=args.quick or None, label="adversary",
+                     name="adversarial-hunts")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m

@@ -14,21 +14,18 @@ probes across resumed hunts (the report's ``jobs_replayed`` /
 Instances are hunted no-instances first (false-accepts are what the
 paper's candidates are defeated by) and the hunt stops at the first defeat,
 which is then delta-debugged to a locally-minimal witness by
-:mod:`repro.adversary.shrink`.  :func:`adversarial_verify` is the same loop
-folded into a :class:`~repro.decision.decider.VerificationReport` — it
-backs ``verify_decider(search=...)``.
+:mod:`repro.adversary.shrink`.  Both :func:`find_counterexample` and
+``verify_decider(search=...)`` run the one family-hunt loop,
+:func:`hunt_family`; each keeps its own instance order, stop rule and
+report type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..decision.decider import (
-    CounterExample,
-    VerificationReport,
-    _outcome_from_outputs,
-)
+from ..decision.decider import CounterExample, _outcome_from_outputs
 from ..decision.property import InstanceFamily, Property
 from ..engine.base import EngineLike, resolve_engine, store_counters, store_job_split
 from ..graphs.identifiers import IdAssignment, IdentifierSpace
@@ -42,8 +39,8 @@ __all__ = [
     "SearchReport",
     "default_pool",
     "hunt_instance",
+    "hunt_family",
     "find_counterexample",
-    "adversarial_verify",
 ]
 
 #: Builds the identifier pool one instance is hunted over.
@@ -243,10 +240,65 @@ def hunt_instance(
 # ---------------------------------------------------------------------- #
 
 
-def _hunt_order(family: InstanceFamily) -> List[Tuple[LabelledGraph, bool]]:
-    """No-instances first: the candidates' defeats are false-accepts."""
-    labelled = family.labelled_instances()
-    return [pair for pair in labelled if not pair[1]] + [pair for pair in labelled if pair[1]]
+def hunt_family(
+    decider,
+    instances: Iterable[Tuple[LabelledGraph, bool]],
+    stop_at_first: bool,
+    family_name: str,
+    strategy: StrategyLike,
+    prop: Optional[Property] = None,
+    id_space: Optional[IdentifierSpace] = None,
+    pool_factory: Optional[PoolFactory] = None,
+    max_evaluations: int = 256,
+    batch_size: int = 16,
+    seed: int = 0,
+    engine: EngineLike = None,
+    shrink: bool = True,
+    shrink_budget: int = 512,
+) -> Tuple[List[InstanceHunt], Tuple[int, int], List[MinimalCounterExample]]:
+    """The family-hunt loop behind :func:`find_counterexample` and ``verify_decider(search=...)``.
+
+    Hunts ``instances`` in the given order, each with its own
+    ``max_evaluations`` budget, stopping after the first defeat when
+    ``stop_at_first``.  Returns the per-instance hunts, the hunts'
+    ``(jobs_replayed, jobs_computed)`` split, and — with ``shrink`` — every
+    found counter-example delta-debugged to a locally-minimal witness
+    (ground truth recomputed via ``prop``).  ``pool_factory`` overrides the
+    identifier pool per instance — e.g. the promise problems' 1-based
+    convention — and defaults to :func:`default_pool` over ``id_space``.
+    """
+    engine = resolve_engine(engine)
+    hunts: List[InstanceHunt] = []
+    before = store_counters(engine)
+    for graph, expected in instances:
+        pool = list(pool_factory(graph)) if pool_factory is not None else default_pool(graph, id_space)
+        hunt = hunt_instance(
+            decider,
+            graph,
+            expected,
+            strategy=strategy,
+            pool=pool,
+            seed=seed,
+            max_evaluations=max_evaluations,
+            batch_size=batch_size,
+            engine=engine,
+            family_name=family_name,
+        )
+        hunts.append(hunt)
+        if hunt.found and stop_at_first:
+            break
+    # Attribute the hunts' jobs before shrinking, whose probes run through
+    # the same engine but are tallied inside each minimal witness instead.
+    split = store_job_split(engine, before, sum(hunt.executions for hunt in hunts))
+    minimal = [
+        shrink_counterexample(
+            decider, hunt.counter_example, prop=prop, id_space=id_space,
+            engine=engine, max_checks=shrink_budget,
+        )
+        for hunt in hunts
+        if shrink and hunt.found
+    ]
+    return hunts, split, minimal
 
 
 def find_counterexample(
@@ -265,131 +317,46 @@ def find_counterexample(
 ) -> SearchReport:
     """Hunt an instance family for an assignment defeating the decider.
 
-    Instances are tried no-instances first, each with its own
-    ``max_evaluations`` budget, and the hunt stops at the first defeat;
-    with ``shrink`` (the default) the found counter-example is
-    delta-debugged to a locally-minimal witness (ground truth recomputed
-    via ``prop``) before the report is returned.  ``pool_factory``
-    overrides the identifier pool per instance — e.g. the promise
-    problems' 1-based convention — and defaults to :func:`default_pool`
-    over ``id_space``.
+    Instances are tried no-instances first (the candidates' defeats are
+    false-accepts), each with its own ``max_evaluations`` budget, and the
+    hunt stops at the first defeat; with ``shrink`` (the default) the found
+    counter-example is delta-debugged to a locally-minimal witness before
+    the report is returned.  See :func:`hunt_family` for the other knobs.
     """
     if family is None:
         if prop is None:
             raise ValueError("find_counterexample needs a property or an instance family")
         family = InstanceFamily.from_property(prop)
-    engine = resolve_engine(engine)
-    report = SearchReport(
+    labelled = family.labelled_instances()
+    hunts, (replayed, computed), minimal = hunt_family(
+        decider,
+        [pair for pair in labelled if not pair[1]] + [pair for pair in labelled if pair[1]],
+        stop_at_first=True,
+        family_name=family.name,
+        strategy=strategy,
+        prop=prop,
+        id_space=id_space,
+        pool_factory=pool_factory,
+        max_evaluations=max_evaluations,
+        batch_size=batch_size,
+        seed=seed,
+        engine=engine,
+        shrink=shrink,
+        shrink_budget=shrink_budget,
+    )
+    return SearchReport(
         algorithm_name=getattr(decider, "name", type(decider).__name__),
         family_name=family.name,
         strategy=strategy if isinstance(strategy, str) else getattr(strategy, "name", "custom"),
         max_evaluations=max_evaluations,
         batch_size=batch_size,
         seed=seed,
+        instances_tried=len(hunts),
+        executions=sum(hunt.executions for hunt in hunts),
+        batches=sum(hunt.batches for hunt in hunts),
+        jobs_computed=computed,
+        jobs_replayed=replayed,
+        counter_example=next((hunt.counter_example for hunt in hunts if hunt.found), None),
+        minimal=minimal[0] if minimal else None,
+        hunts=hunts,
     )
-    before = store_counters(engine)
-    for graph, expected in _hunt_order(family):
-        report.instances_tried += 1
-        pool = list(pool_factory(graph)) if pool_factory is not None else default_pool(graph, id_space)
-        hunt = hunt_instance(
-            decider,
-            graph,
-            expected,
-            strategy=strategy,
-            pool=pool,
-            seed=seed,
-            max_evaluations=max_evaluations,
-            batch_size=batch_size,
-            engine=engine,
-            family_name=family.name,
-        )
-        report.hunts.append(hunt)
-        report.executions += hunt.executions
-        report.batches += hunt.batches
-        if hunt.found:
-            report.counter_example = hunt.counter_example
-            break
-    report.jobs_replayed, report.jobs_computed = store_job_split(
-        engine, before, report.executions
-    )
-    if shrink and report.counter_example is not None:
-        report.minimal = shrink_counterexample(
-            decider,
-            report.counter_example,
-            prop=prop,
-            id_space=id_space,
-            engine=engine,
-            max_checks=shrink_budget,
-        )
-    return report
-
-
-def adversarial_verify(
-    algorithm,
-    prop: Property,
-    family: Optional[InstanceFamily] = None,
-    id_space: Optional[IdentifierSpace] = None,
-    strategy: StrategyLike = "hill-climb",
-    pool_factory: Optional[PoolFactory] = None,
-    max_evaluations: int = 256,
-    batch_size: int = 16,
-    seed: int = 0,
-    stop_at_first_failure: bool = False,
-    engine: EngineLike = None,
-    shrink: bool = True,
-    shrink_budget: int = 512,
-) -> VerificationReport:
-    """Verify a decider with guided search instead of a fixed assignment pool.
-
-    This is the engine behind ``verify_decider(search=...)``: every
-    instance of the family is hunted with its own budget (no early stop
-    across instances unless ``stop_at_first_failure``), failures become
-    :class:`~repro.decision.decider.CounterExample`\\ s exactly as in the
-    exhaustive sweep, and each is shrunk into
-    :attr:`VerificationReport.minimal_counterexamples`.
-    """
-    family = family or InstanceFamily.from_property(prop)
-    engine = resolve_engine(engine)
-    report = VerificationReport(
-        algorithm_name=getattr(algorithm, "name", type(algorithm).__name__),
-        family_name=family.name,
-    )
-    before = store_counters(engine)
-    for graph, expected in family.labelled_instances():
-        report.instances_checked += 1
-        pool = list(pool_factory(graph)) if pool_factory is not None else default_pool(graph, id_space)
-        hunt = hunt_instance(
-            algorithm,
-            graph,
-            expected,
-            strategy=strategy,
-            pool=pool,
-            seed=seed,
-            max_evaluations=max_evaluations,
-            batch_size=batch_size,
-            engine=engine,
-            family_name=family.name,
-        )
-        report.assignments_checked += hunt.executions
-        if hunt.found:
-            report.counter_examples.append(hunt.counter_example)
-            if stop_at_first_failure:
-                break
-    # Attribute the sweep's jobs before shrinking, whose probes run through
-    # the same engine but are tallied inside each minimal witness instead.
-    report.jobs_replayed, report.jobs_computed = store_job_split(
-        engine, before, report.assignments_checked
-    )
-    if shrink:
-        for counter in report.counter_examples:
-            report.minimal_counterexamples.append(
-                shrink_counterexample(
-                    algorithm,
-                    counter,
-                    prop=prop,
-                    id_space=id_space,
-                    engine=engine,
-                    max_checks=shrink_budget,
-                )
-            )
-    return report

@@ -22,8 +22,8 @@ execution engine — and runs whole grids in one go:
   existing report re-running only missing/stale scenarios;
 * :mod:`repro.campaign.cli` — the ``python -m repro.campaign`` command and
   the sweep options and run/report/gate path it shares with
-  ``python -m repro.workloads --run`` (``--store``, ``--resume``,
-  ``--min-replayed``, ...).
+  ``python -m repro.workloads --run`` and ``python -m repro.adversary``
+  (``--store``, ``--resume``, ``--min-replayed``, ...).
 """
 
 from .runner import (

@@ -38,7 +38,8 @@ gate on campaign runs directly.  ``--min-replayed`` additionally gates on
 the fraction of jobs replayed from the store.
 
 :func:`add_sweep_options` and :func:`run_sweep` are the sweep options and
-run/report/gate sequence this command shares with ``python -m repro.workloads``.
+run/report/gate sequence this command shares with ``python -m repro.workloads``
+and ``python -m repro.adversary``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .runner import (
     run_campaign,
     write_report,
 )
-from .scenarios import all_scenarios, scenario_names
+from .scenarios import bundled_scenarios, scenario_names
 from .spec import ScenarioSpec
 
 __all__ = ["main", "build_parser", "add_sweep_options", "run_sweep", "in_range"]
@@ -77,8 +78,12 @@ def in_range(convert: Callable[[str], float], low: float, high: float = math.inf
     return parse
 
 
-def add_sweep_options(parser: argparse.ArgumentParser, default_report: Path) -> None:
-    """Declare the shared sweep options; ``default_report`` is where the report goes by default."""
+def add_sweep_options(parser: argparse.ArgumentParser, default_report: Optional[Path]) -> None:
+    """Declare the shared sweep options; ``default_report`` is where the report goes by default.
+
+    With ``default_report=None`` a sweep writes a report only where
+    ``--output`` (or ``--resume``) names one.
+    """
     group = parser.add_argument_group("sweep options")
     group.add_argument(
         "--engine",
@@ -125,7 +130,7 @@ def add_sweep_options(parser: argparse.ArgumentParser, default_report: Path) -> 
         "--output",
         default=None,
         metavar="PATH",
-        help=f"where to write the JSON report (default: {default_report})",
+        help=f"where to write the JSON report (default: {default_report or 'none'})",
     )
     group.add_argument(
         "--no-report", action="store_true", help="skip writing the JSON report file"
@@ -137,7 +142,7 @@ def add_sweep_options(parser: argparse.ArgumentParser, default_report: Path) -> 
         help="write a structured JSONL span trace of the whole sweep to "
         "PATH (inspect it with `python -m repro.obs report PATH`)",
     )
-    parser.set_defaults(default_report=Path(default_report))
+    parser.set_defaults(default_report=default_report)
 
 
 def run_sweep(
@@ -193,10 +198,10 @@ def run_sweep(
                 "{parallel_forks} fork(s), {payload_ships} payload ship(s) "
                 "({payload_ship_bytes} bytes), {coalesced_batches} coalesced".format(**parallel_totals)
             )
-        if not args.no_report:
-            default = args.resume if args.resume is not None else args.default_report
-            path = write_report(report, args.output if args.output is not None else default)
-            print(f"report written to {path}")
+        default = args.resume if args.resume is not None else args.default_report
+        target = args.output if args.output is not None else default
+        if not args.no_report and target is not None:
+            print(f"report written to {write_report(report, target)}")
         ok = report.ok
         if args.min_replayed is not None:
             replayed, total, share, resumed = replay_summary(report)
@@ -247,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _list_scenarios() -> str:
-    rows = [spec.as_row() for spec in all_scenarios()]
+    rows = [spec.as_row() for spec in bundled_scenarios()]
     return format_table(
         ["name", "section", "kind", "engine", "sizes", "title"],
         rows,

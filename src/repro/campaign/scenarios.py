@@ -61,9 +61,6 @@ from .spec import ScenarioSpec, ScenarioWorkload
 
 __all__ = [
     "bundled_scenarios",
-    "registered_scenarios",
-    "register_scenarios",
-    "all_scenarios",
     "get_scenario",
     "scenario_names",
 ]
@@ -496,56 +493,20 @@ _BUNDLE: Tuple[ScenarioSpec, ...] = (
 
 _BY_NAME: Dict[str, ScenarioSpec] = {spec.name: spec for spec in _BUNDLE}
 
-#: Scenarios registered at runtime next to the bundle — the workload
-#: matrix (:func:`repro.workloads.install_matrix`) registers its expanded
-#: cells here so campaign tooling addresses them by name like any other
-#: scenario.  Insertion order is preserved.
-_REGISTERED: Dict[str, ScenarioSpec] = {}
-
 
 def bundled_scenarios() -> List[ScenarioSpec]:
     """All bundled scenario specs, in bundle order."""
     return list(_BUNDLE)
 
 
-def registered_scenarios() -> List[ScenarioSpec]:
-    """Scenarios registered at runtime (e.g. workload-matrix cells), in order."""
-    return list(_REGISTERED.values())
-
-
-def register_scenarios(specs: Sequence[ScenarioSpec], replace: bool = False) -> None:
-    """Register scenario specs next to the bundle.
-
-    Names may not collide with bundled scenarios; re-registering an
-    already-registered name requires ``replace=True`` (the workload matrix
-    re-installs itself idempotently this way).
-    """
-    for spec in specs:
-        if spec.name in _BY_NAME:
-            raise ValueError(f"scenario {spec.name!r} collides with a bundled scenario")
-        if spec.name in _REGISTERED and not replace:
-            raise ValueError(f"scenario {spec.name!r} is already registered (pass replace=True)")
-    for spec in specs:
-        _REGISTERED[spec.name] = spec
-
-
-def all_scenarios() -> List[ScenarioSpec]:
-    """Bundled scenarios followed by everything registered at runtime."""
-    return list(_BUNDLE) + registered_scenarios()
-
-
 def scenario_names() -> List[str]:
-    """Names of all addressable scenarios (bundled first, then registered)."""
-    return [spec.name for spec in all_scenarios()]
+    """Names of all bundled scenarios, in bundle order."""
+    return [spec.name for spec in _BUNDLE]
 
 
 def get_scenario(name: str) -> ScenarioSpec:
-    """Look a scenario up by name (bundled or registered)."""
+    """Look a bundled scenario up by name."""
     try:
         return _BY_NAME[name]
-    except KeyError:
-        pass
-    try:
-        return _REGISTERED[name]
     except KeyError:
         raise KeyError(f"unknown scenario {name!r}; choose from {scenario_names()}") from None

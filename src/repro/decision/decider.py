@@ -323,6 +323,8 @@ def verify_decider(
     sweep, which contradicts searching for them.
     """
     family = family or InstanceFamily.from_property(prop)
+    engine = resolve_engine(engine)
+    report = VerificationReport(algorithm_name=algorithm.name, family_name=family.name)
     if search is not None:
         if assignments_factory is not None:
             raise DecisionError(
@@ -330,24 +332,27 @@ def verify_decider(
                 "a fixed assignment list contradicts searching for one; "
                 "restrict the hunted pool via exhaustive_pool or id_space instead"
             )
-        from ..adversary.search import adversarial_verify
+        from ..adversary.search import hunt_family
 
-        return adversarial_verify(
+        hunts, (report.jobs_replayed, report.jobs_computed), report.minimal_counterexamples = hunt_family(
             algorithm,
-            prop,
-            family=family,
-            id_space=id_space,
+            family.labelled_instances(),
+            stop_at_first=stop_at_first_failure,
+            family_name=family.name,
             strategy=search,
+            prop=prop,
+            id_space=id_space,
             pool_factory=(None if exhaustive_pool is None else (lambda graph: exhaustive_pool)),
             max_evaluations=search_budget,
             batch_size=search_batch,
             seed=seed,
-            stop_at_first_failure=stop_at_first_failure,
             engine=engine,
             shrink=shrink,
         )
-    engine = resolve_engine(engine)
-    report = VerificationReport(algorithm_name=algorithm.name, family_name=family.name)
+        report.instances_checked = len(hunts)
+        report.assignments_checked = sum(hunt.executions for hunt in hunts)
+        report.counter_examples = [hunt.counter_example for hunt in hunts if hunt.found]
+        return report
     # Snapshot the engine's store counters so the report can attribute this
     # sweep's jobs to replay vs fresh computation (zero/zero for storeless
     # engines, in which case every checked assignment counts as computed).

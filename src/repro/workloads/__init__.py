@@ -19,9 +19,9 @@ cell" with a declarative cross of four axes:
 :class:`~repro.workloads.matrix.WorkloadMatrix` expands the cross into
 :class:`~repro.campaign.spec.ScenarioSpec` cells with deterministic
 per-cell digests; they run through the ordinary campaign runner (so
-ParallelEngine shards them and VerdictStore replays them) and can be
-registered next to the bundled scenarios via :func:`install_matrix`.
-``python -m repro.workloads`` is the command-line front end.
+ParallelEngine shards them and VerdictStore replays them).
+``python -m repro.workloads`` is the command-line front end; its
+``--run --kind search`` hunts the matrix's adversarial cells.
 """
 
 from .axes import (
@@ -77,24 +77,8 @@ __all__ = [
     "get_property_axis",
     "get_regime",
     "importance_sample",
-    "install_matrix",
     "property_names",
     "regime_names",
     "stratified_sample",
 ]
 
-
-def install_matrix(seed: int = 0, **filters) -> int:
-    """Register the matrix cells next to the bundled campaign scenarios.
-
-    After this, :func:`repro.campaign.scenarios.get_scenario` (and with it
-    ``python -m repro.adversary --workloads``) resolves matrix cells by
-    name exactly like hand-written scenarios; ``python -m repro.workloads
-    --run`` runs cells without registering them.  Returns the number of
-    cells registered.
-    """
-    from ..campaign.scenarios import register_scenarios
-
-    specs = default_matrix(seed=seed).scenarios(**filters)
-    register_scenarios(specs, replace=True)
-    return len(specs)

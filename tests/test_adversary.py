@@ -401,12 +401,16 @@ def test_campaign_seed_override_changes_digest_and_respects_determinism():
     assert a.spec_digest != run_scenario("adv-mis-parity", quick=True).spec_digest
 
 
-def test_adversary_cli_list_and_hunt(capsys):
+def test_adversary_cli_list_and_hunt(tmp_path, monkeypatch, capsys):
     assert adversary_main(["--list"]) == 0
     assert "adv-mis-parity" in capsys.readouterr().out
+    monkeypatch.chdir(tmp_path)
     assert adversary_main(["adv-mis-parity", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "DEFEATED" in out and "adversary OK" in out
+    # Without --output a hunt writes no report anywhere.
+    assert "report written" not in out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_adversary_cli_compare_writes_report(tmp_path, capsys):
@@ -421,10 +425,55 @@ def test_adversary_cli_compare_writes_report(tmp_path, capsys):
     assert code == 1
     import json
 
-    payload = json.loads(out_path.read_text())
-    by_strategy = {entry["strategy"]: entry for entry in payload}
+    scenarios = json.loads(out_path.read_text())["scenarios"]
+    assert [entry["name"] for entry in scenarios] == [
+        f"adv-mis-parity/{strategy}" for strategy in strategy_names()
+    ]
+    by_strategy = {entry["details"]["strategy"]: entry["details"] for entry in scenarios}
+    assert all(details["max_evaluations"] == 120 for details in by_strategy.values())
     assert by_strategy["hill-climb"]["found"] is True
     assert by_strategy["exhaustive"]["found"] is False
+
+
+def test_adversary_cli_hunt_report_equals_run_scenario(tmp_path, capsys):
+    out_path = tmp_path / "hunt.json"
+    assert adversary_main(["adv-colour-guard", "--quick", "--output", str(out_path)]) == 0
+    capsys.readouterr()
+    import json
+
+    [entry] = json.loads(out_path.read_text())["scenarios"]
+    expected = run_scenario("adv-colour-guard", quick=True)
+    assert entry["spec_digest"] == expected.spec_digest
+    got, want = entry["details"], expected.details
+    assert got["found"] is want["found"] is True
+    assert got["executions"] == want["executions"] == 2
+    assert got["minimal"] == want["minimal"]
+    assert got["minimal"]["counterexample"]["num_nodes"] == 2
+    assert got["minimal"]["checks"] == 71
+
+
+def test_adversary_cli_resume_reruns_a_hunt_under_another_strategy(tmp_path, capsys):
+    report_path = tmp_path / "hunt.json"
+    assert adversary_main(["adv-mis-parity", "--quick", "--output", str(report_path)]) == 0
+    capsys.readouterr()
+    # Same settings: the recorded hunt is reused.
+    assert adversary_main(["adv-mis-parity", "--quick", "--resume", str(report_path)]) == 0
+    assert "1 scenario(s) reused, 0 re-run" in capsys.readouterr().out
+    # Another strategy moves the spec digest, so the hunt runs again.
+    code = adversary_main(
+        ["adv-mis-parity", "--quick", "--budget", "120", "--strategy", "exhaustive",
+         "--resume", str(report_path)]
+    )
+    out = capsys.readouterr().out
+    assert code == 1  # exhaustive survives the small budget: UNEXPECTED
+    assert "0 scenario(s) reused, 1 re-run" in out
+    import json
+
+    [entry] = json.loads(report_path.read_text())["scenarios"]
+    assert entry["resumed"] is False
+    assert entry["details"]["strategy"] == "exhaustive"
+    assert entry["details"]["max_evaluations"] == 120
+    assert entry["details"]["found"] is False
 
 
 def test_adversary_cli_rejects_unknown_target():

@@ -23,6 +23,7 @@ from repro.campaign import (
     write_report,
 )
 from repro.campaign import runner
+from repro.adversary.cli import main as adversary_main
 from repro.campaign.cli import main as campaign_main
 from repro.engine import ParallelEngine, StoreCorruptionWarning, VerdictStore
 from repro.obs.report import load_trace
@@ -32,8 +33,9 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 SMOKE = ["classic-cycles-vs-paths", "sec2-promise-cycles"]
 
-#: Both sweep front ends, each with a small quick sweep selecting a few scenarios.
+#: The three sweep front ends, each with a small quick sweep selecting a few scenarios.
 SWEEP_CLIS = {
+    "adversary": (adversary_main, ["adv-mis-parity", "--quick"]),
     "campaign": (campaign_main, ["classic-cycles-vs-paths", "--quick"]),
     "workloads": (workloads_main, ["--run", "--quick", "--family", "cycle", "--property", "colouring"]),
 }
@@ -41,7 +43,7 @@ SWEEP_CLIS = {
 
 @pytest.fixture(params=sorted(SWEEP_CLIS))
 def sweep_cli(request):
-    """``(main, args)`` of one sweep CLI: the shared options must behave alike on both."""
+    """``(main, args)`` of one sweep CLI: the shared options must behave alike on all of them."""
     return SWEEP_CLIS[request.param]
 
 

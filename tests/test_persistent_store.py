@@ -44,7 +44,7 @@ from repro.local_model import (
     run_algorithm,
     run_randomised_algorithm,
 )
-from repro.campaign.scenarios import all_scenarios
+from repro.campaign.scenarios import bundled_scenarios
 from repro.properties import RegularPathProperty
 from repro.workloads.matrix import default_matrix
 
@@ -410,7 +410,7 @@ def test_fingerprint_of_a_frozenset_constant_ignores_the_hash_seed():
 def test_every_bundled_and_matrix_decider_pickles_and_fingerprints():
     # Pool payloads travel pickled, and only fingerprinted deciders replay
     # from the verdict store: each bundled or matrix decider must do both.
-    specs = all_scenarios() + default_matrix(0).scenarios()
+    specs = bundled_scenarios() + default_matrix(0).scenarios()
     assert len(specs) == 224
     for spec in specs:
         decider = spec.build(spec, spec.ladder(True)).decider

@@ -4,7 +4,7 @@ Covers the ISSUE-5 determinism contract — same seed => byte-identical
 expanded matrix and identical campaign-report digests across worker
 counts — plus structural validation of every new graph family (node
 count, degree bounds, connectivity, generator-seed stability), matrix
-filtering, campaign/adversary registration, store replay and the CLI.
+filtering, store replay and the CLI.
 """
 
 import itertools
@@ -14,13 +14,6 @@ import tracemalloc
 import pytest
 
 from repro.campaign.runner import run_campaign
-from repro.campaign.scenarios import (
-    get_scenario,
-    register_scenarios,
-    registered_scenarios,
-    scenario_names,
-)
-from repro.campaign.spec import ScenarioSpec
 from repro.engine import CachedEngine, algorithm_fingerprint
 from repro.graphs import (
     caterpillar_graph,
@@ -38,7 +31,6 @@ from repro.workloads import (
     expand_json,
     expand_ndjson,
     get_family,
-    install_matrix,
 )
 from repro.workloads.cli import main as workloads_main
 from repro.workloads.matrix import WorkloadMatrix
@@ -341,55 +333,6 @@ class TestDeterminismAcrossWorkers:
         assert warm.jobs_replayed / total >= 0.9, (
             f"only {warm.jobs_replayed}/{total} jobs replayed on the warm pass"
         )
-
-
-# ---------------------------------------------------------------------- #
-# Campaign / adversary registration
-# ---------------------------------------------------------------------- #
-
-
-class TestRegistration:
-    @pytest.fixture(autouse=True)
-    def _clean_registry(self):
-        from repro.campaign import scenarios as campaign_scenarios
-
-        saved = dict(campaign_scenarios._REGISTERED)
-        campaign_scenarios._REGISTERED.clear()
-        yield
-        campaign_scenarios._REGISTERED.clear()
-        campaign_scenarios._REGISTERED.update(saved)
-
-    def test_install_matrix_registers_cells_by_name(self):
-        count = install_matrix(seed=0)
-        assert count >= 40
-        assert len(registered_scenarios()) == count
-        spec = get_scenario("mx:cycle:colouring:honest:bounded")
-        assert spec.section == "matrix"
-        assert "mx:cycle:colouring:honest:bounded" in scenario_names()
-        # Idempotent re-install (replace=True under the hood).
-        assert install_matrix(seed=0) == count
-
-    def test_register_rejects_bundled_collisions(self):
-        clash = get_scenario("classic-colouring")
-        with pytest.raises(ValueError):
-            register_scenarios([clash])
-
-    def test_register_requires_replace_for_duplicates(self):
-        spec = default_matrix().scenarios(names=["mx:cycle:mis:honest:bounded"])[0]
-        register_scenarios([spec])
-        with pytest.raises(ValueError):
-            register_scenarios([spec])
-        register_scenarios([spec], replace=True)  # no raise
-
-    def test_registered_search_cells_visible_to_adversary_cli(self):
-        from repro.adversary.cli import search_scenarios
-
-        before = {spec.name for spec in search_scenarios()}
-        install_matrix(seed=0, kinds=("search",))
-        after = {spec.name for spec in search_scenarios()}
-        added = after - before
-        assert added and all(name.startswith("mx:") for name in added)
-        assert all(isinstance(get_scenario(name), ScenarioSpec) for name in added)
 
 
 # ---------------------------------------------------------------------- #
