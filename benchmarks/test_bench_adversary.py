@@ -18,9 +18,7 @@ Each guided defeat is then delta-debugged; the bench asserts the minimal
 witness still defeats the candidate and is locally minimal.
 """
 
-import json
 import time
-from pathlib import Path
 
 from repro.adversary import (
     LazyGuardColouringDecider,
@@ -32,7 +30,6 @@ from repro.decision import InstanceFamily, decide
 from repro.graphs import cycle_graph
 from repro.properties import MaximalIndependentSetProperty, ProperColouringProperty
 
-BENCH_JSON = Path(__file__).resolve().parent / "BENCH_adversary.json"
 
 #: Per-instance budget for the exhaustive-reachable comparison: enough for
 #: lexicographic enumeration to reach the first defeating assignment at n=4.
@@ -92,7 +89,7 @@ def _hunt_quick_spec(spec, strategy):
     )
 
 
-def test_bench_guided_search_beats_exhaustive_enumeration():
+def test_bench_guided_search_beats_exhaustive_enumeration(write_record):
     record = {}
     ratios = []
     for name, trap in _bench_traps().items():
@@ -169,4 +166,4 @@ def test_bench_guided_search_beats_exhaustive_enumeration():
         "speedup_exhaustive_over_guided": round(min(ratios), 3),
         "recorded_at_unix": int(time.time()),
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_record("adversary", payload)

@@ -6,13 +6,12 @@ mathematical definition) and the synchronous message-passing simulator (the
 (batched BFS + memoised evaluation) on top.  This bench checks all three
 agree, compares their cost on the same workloads, asserts the headline
 speedup of the caching backend on the ``verify_decider`` cycle/path sweep,
-and emits a machine-readable ``BENCH_engines.json`` next to this file so
-the performance trajectory is recorded across PRs.
+and emits a machine-readable ``BENCH_engines.json`` under ``benchmarks/out/``
+so CI can gate it against the committed record.
 """
 
 import json
 import time
-from pathlib import Path
 
 from repro.decision import FunctionProperty, InstanceFamily, assignments_for, decide, verify_decider
 from repro.engine import CachedEngine, DirectEngine, SynchronousEngine
@@ -31,8 +30,6 @@ IDS = sequential_assignment(GRID)
 ALGORITHM = FunctionAlgorithm(
     lambda view: YES if view.max_visible_identifier() % 2 == 0 else NO, radius=2, name="parity"
 )
-
-BENCH_JSON = Path(__file__).resolve().parent / "BENCH_engines.json"
 
 
 def test_bench_engine_ball_evaluation(benchmark):
@@ -135,7 +132,7 @@ class DictDirectEngine(DirectEngine):
         return [DirectEngine.run(self, algorithm, graph, ids) for graph, ids in jobs]
 
 
-def test_bench_verify_decider_cached_speedup():
+def test_bench_verify_decider_cached_speedup(write_record):
     # The dict baseline keeps this record's historical meaning: the
     # caching backend measured against per-node dict-based ball
     # evaluation (the paper's literal semantics).  The interned direct
@@ -190,7 +187,7 @@ def test_bench_verify_decider_cached_speedup():
         "verdicts_identical_across_backends": True,
         "recorded_at_unix": int(time.time()),
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_record("engines", payload)
 
     # The acceptance bar for the caching backend: at least 3x over direct
     # ball evaluation on this sweep (observed well above that locally).

@@ -21,7 +21,6 @@ asserted byte-identical across all three variants.
 import json
 import statistics
 import time
-from pathlib import Path
 
 from repro.engine import CachedEngine
 from repro.graphs import grid_graph
@@ -29,7 +28,6 @@ from repro.local_model import NO, YES, FunctionIdObliviousAlgorithm
 from repro.obs import trace
 from repro.obs.report import aggregate, load_trace
 
-BENCH_JSON = Path(__file__).resolve().parent / "BENCH_obs.json"
 
 #: Floors asserted here and gated again in CI via check_regression --gate.
 DISABLED_FLOOR = 0.95
@@ -102,7 +100,7 @@ def _interleaved_sweeps(trace_path, repeats=_REPEATS):
     return outputs, times
 
 
-def test_bench_tracing_overhead(tmp_path):
+def test_bench_tracing_overhead(tmp_path, write_record):
     trace.disable()
     trace_path = tmp_path / "bench-trace.jsonl"
     outputs, times = _interleaved_sweeps(trace_path)
@@ -145,7 +143,7 @@ def test_bench_tracing_overhead(tmp_path):
         "verdicts_identical_across_variants": True,
         "recorded_at_unix": int(time.time()),
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_record("obs", payload)
 
     assert ratio_disabled >= DISABLED_FLOOR, (
         f"tracing-disabled throughput only {ratio_disabled:.3f}x of unspanned "

@@ -19,9 +19,7 @@ Payload-ship bytes are recorded so a regression that silently re-ships
 the payload every batch shows up in the JSON diff.
 """
 
-import json
 import time
-from pathlib import Path
 
 from repro.engine import (
     CachedEngine,
@@ -33,7 +31,6 @@ from repro.engine import (
 from repro.graphs import grid_graph, torus_graph
 from repro.local_model import NO, YES
 
-BENCH_JSON = Path(__file__).resolve().parent / "BENCH_parallel.json"
 
 #: Warm sweeps after the cold one; the headline warm time is their minimum.
 WARM_SWEEPS = 3
@@ -65,7 +62,7 @@ def _jobs():
     return jobs
 
 
-def test_bench_parallel_pool_mechanics():
+def test_bench_parallel_pool_mechanics(write_record):
     shutdown_pool()
     reset_shared_local_engine()
     decider = LocallyGridDecider()
@@ -128,7 +125,7 @@ def test_bench_parallel_pool_mechanics():
         "verdicts_identical_serial_vs_parallel": True,
         "recorded_at_unix": int(time.time()),
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_record("parallel", payload)
 
     # The in-test floors mirror the CI gate.
     assert forks_per_sweep == 0, f"warm sweeps re-forked ({forks_per_sweep}/sweep)"

@@ -17,15 +17,12 @@ the warm speedup through the consolidated ``check_regression.py --gate``
 invocation.
 """
 
-import json
 import time
-from pathlib import Path
 
 from repro.campaign.runner import run_campaign
 from repro.engine import reset_shared_local_engine, shutdown_pool
 from repro.workloads import default_matrix
 
-BENCH_JSON = Path(__file__).resolve().parent / "BENCH_workloads.json"
 
 _MATRIX_SEED = 0
 
@@ -47,7 +44,7 @@ def _verdicts(report):
     return [(r.name, r.spec_digest, r.observed_correct) for r in report.results]
 
 
-def test_bench_workloads_cell_throughput():
+def test_bench_workloads_cell_throughput(write_record):
     # Start from a genuinely cold process-wide state: no live workers, no
     # warm shared engine left behind by earlier tests in the same process.
     shutdown_pool()
@@ -97,7 +94,7 @@ def test_bench_workloads_cell_throughput():
         "verdicts_identical_serial_vs_parallel": True,
         "recorded_at_unix": int(time.time()),
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_record("workloads", payload)
 
     # The in-test floors mirror the CI gates: quick cells are tiny, so even
     # a slow shared runner clears single-digit cells/s by a wide margin, and

@@ -26,7 +26,7 @@ probe costs one decider execution, so the whole minimisation is budgeted
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..decision.decider import CounterExample, decide_outcome
 from ..decision.property import Property

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 from abc import ABC, abstractmethod
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Sequence, Tuple, Union
 
 from ..errors import AlgorithmError
 from ..graphs.identifiers import IdAssignment

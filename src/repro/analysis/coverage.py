@@ -37,9 +37,7 @@ from ..decision.decider import decide
 from ..engine.base import EngineLike, resolve_engine
 from ..errors import VerificationError
 from ..graphs.labelled_graph import LabelledGraph, Node
-from ..local_model.algorithm import IdObliviousAlgorithm, LocalAlgorithm
-from ..local_model.outputs import NO, YES
-from ..local_model.runner import run_algorithm
+from ..local_model.algorithm import IdObliviousAlgorithm
 
 __all__ = [
     "neighbourhood_census",

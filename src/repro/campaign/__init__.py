@@ -18,8 +18,9 @@ execution engine — and runs whole grids in one go:
   collects verdicts / timings / engine statistics into JSON reports under
   ``benchmarks/``; with a persistent verdict store
   (:class:`~repro.engine.persistent.VerdictStore`) attached, settled jobs
-  replay from disk across runs, and :func:`resume_campaign` merges into an
-  existing report re-running only missing/stale scenarios;
+  replay from disk across runs, and one sweep loop reuses recorded
+  results — from the report :func:`resume_campaign` merges into and/or
+  the result log — re-running only missing/stale scenarios;
 * :mod:`repro.campaign.cli` — the ``python -m repro.campaign`` command and
   the sweep options and run/report/gate path it shares with
   ``python -m repro.workloads --run`` and ``python -m repro.adversary``

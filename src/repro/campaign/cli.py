@@ -15,7 +15,7 @@ Run two scenarios on a 2-worker parallel engine, quickly::
 
     PYTHONPATH=src python -m repro.campaign classic-cycles-vs-paths \\
         sec2-promise-cycles --engine parallel --workers 2 --quick \\
-        --output benchmarks/BENCH_campaign_smoke.json
+        --output benchmarks/out/BENCH_campaign_smoke.json
 
 Sweep against a persistent verdict store — the second invocation replays
 settled jobs from disk instead of recomputing them::

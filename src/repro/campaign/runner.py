@@ -10,8 +10,8 @@ next to the engine benchmark records, so the performance and correctness
 trajectory of the reproduction is tracked across PRs by the same CI
 artifacts.
 
-Three incremental mechanisms make repeated campaigns cheap — and partial
-ones recoverable:
+Two mechanisms make repeated campaigns cheap — and partial ones
+recoverable:
 
 * ``store=`` wraps every scenario's engine in one shared
   :class:`~repro.engine.persistent.VerdictStore`
@@ -19,15 +19,16 @@ ones recoverable:
   any earlier run — or earlier scenario of the same run — are replayed
   from disk instead of recomputed; reports record the replayed/computed
   split per scenario.
-* :func:`resume_campaign` merges into an existing report: scenarios whose
-  recorded spec digest still matches (and whose verdict is present) are
-  carried over untouched, and only missing or stale scenarios are re-run.
-* ``log_path=`` appends every completed scenario result as one JSON line
-  to an append-only result log *as the sweep progresses*, and reuses any
-  logged result whose spec digest still matches before running a cell —
-  so a million-cell sweep killed halfway resumes from the log instead of
-  starting over, and the final report is assembled only at the end
-  (atomically, via :func:`write_report`).
+* recorded results stand in for runs: before running a cell, the one
+  sweep loop looks up the cell's recorded result — in the report being
+  resumed (:func:`resume_campaign`), then in the append-only result log
+  (``log_path=``) — and carries it over when it still settles the spec
+  (:meth:`~repro.campaign.spec.ScenarioResult.settles`: the recorded
+  digest matches and a verdict is present).  The log gains one JSON line
+  per completed cell *as the sweep progresses*, so a million-cell sweep
+  killed halfway resumes from the log instead of starting over, and the
+  final report is assembled only at the end (atomically, via
+  :func:`write_report`).
 
 ``run_campaign`` and ``resume_campaign`` consume any *iterable* of specs
 (not just materialised lists): fed from
@@ -45,7 +46,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from ..adversary.search import find_counterexample
 from ..decision.decider import verify_decider
@@ -108,6 +109,14 @@ def _resolve_store(store: StoreLike) -> Tuple[Optional[VerdictStore], bool]:
     return VerdictStore(store), True
 
 
+def _resolve_spec(item: Union[ScenarioSpec, str], seed: Optional[int]) -> ScenarioSpec:
+    """The spec ``item`` names (or is), with ``seed`` overriding its declared seed."""
+    spec = get_scenario(item) if isinstance(item, str) else item
+    if seed is not None and seed != spec.seed:
+        spec = dataclasses.replace(spec, seed=seed)
+    return spec
+
+
 def run_scenario(
     spec_or_name: Union[ScenarioSpec, str],
     engine: EngineLike = None,
@@ -125,9 +134,7 @@ def run_scenario(
     in the spec digest, so results recorded under one seed never satisfy a
     resume under another.
     """
-    spec = get_scenario(spec_or_name) if isinstance(spec_or_name, str) else spec_or_name
-    if seed is not None and seed != spec.seed:
-        spec = dataclasses.replace(spec, seed=seed)
+    spec = _resolve_spec(spec_or_name, seed)
     eng = _engine_for(spec, engine, workers)
     verdict_store, owns_store = _resolve_store(store)
     if verdict_store is not None:
@@ -284,25 +291,6 @@ def _append_result(handle, result: ScenarioResult) -> None:
     result.phase_seconds["persist"] = time.perf_counter() - started
 
 
-def _iter_specs(
-    scenarios: Optional[Iterable[Union[ScenarioSpec, str]]],
-    seed: Optional[int],
-) -> Iterator[ScenarioSpec]:
-    """Stream specs from any iterable, resolving names and applying ``seed``.
-
-    This is deliberately lazy: a million-cell matrix iterator (or a sample
-    plan's spec stream) passes through one spec at a time.
-    """
-    source: Iterable[Union[ScenarioSpec, str]] = (
-        scenarios if scenarios is not None else bundled_scenarios()
-    )
-    for item in source:
-        spec = get_scenario(item) if isinstance(item, str) else item
-        if seed is not None and seed != spec.seed:
-            spec = dataclasses.replace(spec, seed=seed)
-        yield spec
-
-
 def run_campaign(
     scenarios: Optional[Iterable[Union[ScenarioSpec, str]]] = None,
     engine: EngineLike = None,
@@ -326,46 +314,66 @@ def run_campaign(
     ``log_path`` makes the sweep *incremental*: every completed result is
     appended to the JSONL log immediately (flushed and fsynced, so a crash
     loses at most the in-flight cell), and before running a cell any
-    logged result with a matching spec digest is carried over as resumed.
-    Re-invoking the same sweep after a crash therefore re-runs only the
-    cells the previous attempt never finished.
+    logged result that still settles its spec
+    (:meth:`~repro.campaign.spec.ScenarioResult.settles`) is carried over
+    as resumed.  Re-invoking the same sweep after a crash therefore re-runs
+    only the cells the previous attempt never finished.
     """
-    engine_label = engine if isinstance(engine, str) else (
-        getattr(engine, "name", "per-scenario") if engine is not None else "per-scenario"
-    )
+    engine_label = engine if isinstance(engine, str) else getattr(engine, "name", "per-scenario")
     report = CampaignReport(name=name, engine=str(engine_label), quick=quick)
+    _sweep(report, scenarios, {}, engine, workers, store, seed, log_path)
+    return report
+
+
+def _sweep(
+    report: CampaignReport,
+    scenarios: Optional[Iterable[Union[ScenarioSpec, str]]],
+    recorded: Dict[str, ScenarioResult],
+    engine: EngineLike,
+    workers: Optional[int],
+    store: StoreLike,
+    seed: Optional[int],
+    log_path: Union[str, Path, None],
+) -> None:
+    """The one sweep loop: append one result per spec to ``report``.
+
+    ``scenarios`` is consumed lazily, so a million-cell matrix iterator
+    (or a sample plan's spec stream) passes through one spec at a time.
+    A spec's recorded result — from ``recorded`` first, then from the log
+    at ``log_path`` — stands in for running it when it settles the spec;
+    it is appended with ``resumed=True``.  Every other spec runs, and its
+    result is appended to the log as soon as it completes.
+    """
+    quick = report.quick
     verdict_store, owns_store = _resolve_store(store)
-    logged: Dict[str, ScenarioResult] = {}
+    sources = [recorded]
     log_handle = None
     if log_path is not None:
-        logged = load_result_log(log_path)
+        sources.append(load_result_log(log_path))
         log_handle = open_append(log_path)
-    with trace.span("campaign.run", name=name, quick=quick) as sp:
+    with trace.span("campaign.run", name=report.name, quick=quick) as sp:
         try:
-            for spec in _iter_specs(scenarios, seed):
-                old = logged.get(spec.name)
-                if (
-                    old is not None
-                    and old.spec_digest
-                    and old.spec_digest == spec.digest(quick)
-                    and old.summary
-                ):
-                    old.resumed = True
-                    report.results.append(old)
-                    continue
-                result = run_scenario(
-                    spec, engine=engine, workers=workers, quick=quick, store=verdict_store
-                )
-                report.results.append(result)
-                if log_handle is not None:
-                    _append_result(log_handle, result)
+            for item in scenarios if scenarios is not None else bundled_scenarios():
+                spec = _resolve_spec(item, seed)
+                for source in sources:
+                    old = source.get(spec.name)
+                    if old is not None and old.settles(spec, quick):
+                        old.resumed = True
+                        report.results.append(old)
+                        break
+                else:
+                    result = run_scenario(
+                        spec, engine=engine, workers=workers, quick=quick, store=verdict_store
+                    )
+                    report.results.append(result)
+                    if log_handle is not None:
+                        _append_result(log_handle, result)
         finally:
             if log_handle is not None:
                 log_handle.close()
             if owns_store and verdict_store is not None:
                 verdict_store.close()
             sp.add(scenarios=len(report.results))
-    return report
 
 
 def resume_campaign(
@@ -380,75 +388,26 @@ def resume_campaign(
 ) -> Tuple[CampaignReport, int]:
     """Re-run only the missing/stale scenarios of an existing report.
 
-    The report at ``report_path`` is loaded and, for every requested
-    scenario (default: the whole bundle; any iterable, consumed lazily),
-    its recorded result is carried over unchanged when its ``spec_digest``
-    matches the current spec — i.e. the scenario's workload has not
-    changed since the verdict was recorded.  Scenarios that are missing
-    from the report, were recorded under a different digest, or lack a
-    verdict are re-run (through ``store`` when given).  ``quick=None``
-    inherits the original report's mode, so a resumed campaign stays
-    comparable with itself.
-
-    ``log_path`` behaves as in :func:`run_campaign`: results logged by an
-    interrupted attempt are reused (counting toward ``reused``), and every
-    freshly computed result is appended to the log as it completes.
+    The report at ``report_path`` is loaded and the requested scenarios
+    (default: the whole bundle; any iterable, consumed lazily) are swept
+    as by :func:`run_campaign`, with the report's results consulted before
+    the log at ``log_path``: a recorded result that settles its spec is
+    carried over unchanged, and every other scenario is re-run (through
+    ``store`` when given).  ``quick=None`` inherits the original report's
+    mode, so a resumed campaign stays comparable with itself.
 
     Returns the merged report and the number of scenarios reused.
     """
-    path = Path(report_path)
-    payload = json.loads(path.read_text())
-    previous = CampaignReport.from_dict(payload)
+    previous = CampaignReport.from_dict(json.loads(Path(report_path).read_text()))
     if quick is None:
         quick = previous.quick
-    by_name: Dict[str, ScenarioResult] = {r.name: r for r in previous.results}
     merged = CampaignReport(name=previous.name, engine=previous.engine, quick=quick)
-    verdict_store, owns_store = _resolve_store(store)
-    logged: Dict[str, ScenarioResult] = {}
-    log_handle = None
-    if log_path is not None:
-        logged = load_result_log(log_path)
-        log_handle = open_append(log_path)
-    reused = 0
-    requested: set = set()
-    with trace.span("campaign.run", name=previous.name, quick=quick, resume=True) as sp:
-        try:
-            for spec in _iter_specs(scenarios, seed):
-                requested.add(spec.name)
-                # Reuse only when the recorded digest matches the current spec
-                # AND the record actually carries a verdict (a summary written
-                # by a completed run); anything else is stale and re-runs.  The
-                # prior report is consulted first, then the incremental log of
-                # an interrupted attempt.
-                old = by_name.get(spec.name)
-                if old is None or not (
-                    old.spec_digest and old.spec_digest == spec.digest(quick) and old.summary
-                ):
-                    old = logged.get(spec.name)
-                    if old is not None and not (
-                        old.spec_digest and old.spec_digest == spec.digest(quick) and old.summary
-                    ):
-                        old = None
-                if old is not None:
-                    old.resumed = True
-                    merged.results.append(old)
-                    reused += 1
-                    continue
-                result = run_scenario(
-                    spec, engine=engine, workers=workers, quick=quick, store=verdict_store
-                )
-                merged.results.append(result)
-                if log_handle is not None:
-                    _append_result(log_handle, result)
-        finally:
-            if log_handle is not None:
-                log_handle.close()
-            if owns_store and verdict_store is not None:
-                verdict_store.close()
-            sp.add(scenarios=len(merged.results), reused=reused)
+    _sweep(merged, scenarios, {r.name: r for r in previous.results}, engine, workers, store, seed, log_path)
+    reused = sum(result.resumed for result in merged.results)
     # Results present in the old report but outside the requested scenario
     # list are preserved, so a partial resume never drops history.  They
     # are carried over like reused ones, so replay gates skip them too.
+    requested = {result.name for result in merged.results}
     for result in previous.results:
         if result.name not in requested:
             result.resumed = True

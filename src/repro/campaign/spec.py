@@ -30,12 +30,11 @@ report.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..decision.property import InstanceFamily, Property
-from ..engine.persistent import _code_token
+from ..engine.persistent import _code_token, _sha256
 from ..graphs.identifiers import IdAssignment, IdentifierSpace
 from ..graphs.labelled_graph import LabelledGraph
 from ..obs.metrics import POOL_COUNTERS
@@ -134,11 +133,7 @@ class ScenarioSpec:
             repr(self.expect_correct),
             _code_token(self.build),
         ]
-        digest = hashlib.sha256()
-        for part in parts:
-            digest.update(part.encode("utf-8", "backslashreplace"))
-            digest.update(b"\x1f")
-        return digest.hexdigest()
+        return _sha256(*parts)
 
     def as_row(self) -> List[str]:
         """The ``--list`` table row."""
@@ -157,7 +152,7 @@ class ScenarioResult:
     """Outcome of running one scenario: verdicts, timings and engine statistics.
 
     ``spec_digest`` records the digest of the spec that produced the
-    result (used by ``--resume`` for staleness detection);
+    result (used by :meth:`settles` for staleness detection);
     ``jobs_replayed`` / ``jobs_computed`` split the scenario's jobs
     between verdict-store replay and fresh computation; ``resumed`` marks
     results carried over unchanged from a previous report;
@@ -187,6 +182,14 @@ class ScenarioResult:
     def ok(self) -> bool:
         """``True`` when the scenario behaved as the paper predicts."""
         return self.observed_correct == self.expected_correct
+
+    def settles(self, spec: ScenarioSpec, quick: bool) -> bool:
+        """``True`` when this recorded result may stand in for running ``spec``.
+
+        It must carry a verdict (a summary written by a completed run) and
+        have been recorded under the spec's current digest for ``quick``.
+        """
+        return bool(self.summary and self.spec_digest) and self.spec_digest == spec.digest(quick)
 
     def as_dict(self) -> Dict[str, Any]:
         return {

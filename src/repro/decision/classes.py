@@ -27,15 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..engine.base import EngineLike, resolve_engine
 from ..errors import DecisionError
 from ..graphs.identifiers import IdAssignment, IdentifierSpace
 from ..graphs.labelled_graph import LabelledGraph, Node
-from ..local_model.algorithm import IdObliviousAlgorithm, LocalAlgorithm, RandomisedLocalAlgorithm
-from ..local_model.outputs import NO, YES, Verdict
-from ..local_model.runner import run_algorithm
+from ..local_model.algorithm import IdObliviousAlgorithm, LocalAlgorithm
 from .decider import VerificationReport, decide, verify_decider
 from .property import InstanceFamily, Property
 

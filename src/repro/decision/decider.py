@@ -27,7 +27,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..engine.base import EngineLike, resolve_engine, store_counters, store_job_split
 from ..errors import DecisionError
@@ -36,12 +36,11 @@ from ..graphs.identifiers import (
     IdentifierSpace,
     UnboundedIdentifierSpace,
     enumerate_assignments,
-    random_assignment,
     sequential_assignment,
 )
 from ..graphs.labelled_graph import LabelledGraph, Node
 from ..local_model.algorithm import LocalAlgorithm
-from ..local_model.outputs import NO, YES, Verdict, all_yes
+from ..local_model.outputs import NO, Verdict
 from ..local_model.runner import run_algorithm
 from .property import InstanceFamily, Property
 

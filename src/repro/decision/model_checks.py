@@ -16,7 +16,7 @@ work): outputs must be stable under order-preserving renamings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence
 
 from ..engine.base import EngineLike, resolve_engine
 from ..graphs.identifiers import (

@@ -25,11 +25,11 @@ Two observations of the paper are reflected in the implementation:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..engine.base import EngineLike, resolve_engine
 from ..errors import AlgorithmError
-from ..graphs.identifiers import IdAssignment, enumerate_injections
+from ..graphs.identifiers import enumerate_injections
 from ..graphs.neighbourhood import Neighbourhood
 from ..local_model.algorithm import IdObliviousAlgorithm, LocalAlgorithm
 from ..local_model.outputs import NO, YES, Verdict

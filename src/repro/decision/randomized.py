@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..engine.base import EngineLike, resolve_engine, store_counters, store_job_split
 from ..errors import DecisionError
@@ -29,7 +29,7 @@ from ..graphs.labelled_graph import LabelledGraph
 from ..local_model.algorithm import RandomisedLocalAlgorithm
 from ..local_model.outputs import NO, Verdict
 from ..local_model.runner import run_randomised_algorithm
-from .property import InstanceFamily, Property
+from .property import InstanceFamily
 
 __all__ = [
     "AcceptanceEstimate",

@@ -21,7 +21,7 @@ tests and constructions can address nodes directly.
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional
 
 from ..errors import GraphError
 from .labelled_graph import Edge, LabelledGraph, Node

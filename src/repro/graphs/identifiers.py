@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from ..errors import IdentifierError
 from .labelled_graph import LabelledGraph, Node

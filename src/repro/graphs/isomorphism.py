@@ -15,7 +15,7 @@ of graph collections.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 

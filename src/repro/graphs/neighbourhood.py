@@ -28,7 +28,7 @@ for pre-filtering large collections.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 

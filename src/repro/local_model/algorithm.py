@@ -33,7 +33,7 @@ from typing import Callable, Hashable, Optional
 
 from ..errors import AlgorithmError, IdentifierError
 from ..graphs.neighbourhood import Neighbourhood
-from .outputs import NO, YES, Verdict
+from .outputs import YES, Verdict
 
 __all__ = [
     "LocalAlgorithm",

@@ -23,7 +23,6 @@ Id-oblivious algorithms run on port-annotated inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Tuple
 
 from ..errors import GraphError

@@ -24,7 +24,7 @@ of local decision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, Iterable, Optional, Set, Tuple
 
 from ..errors import AlgorithmError, IdentifierError
 from ..graphs.identifiers import IdAssignment

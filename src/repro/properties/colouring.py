@@ -8,7 +8,7 @@ identifiers at all.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from ..decision.property import Property
 from ..graphs.generators import cycle_graph, path_graph

@@ -17,7 +17,7 @@ no identifiers:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator
 
 from ..decision.property import Property
 from ..graphs.generators import cycle_graph, path_graph

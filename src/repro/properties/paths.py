@@ -25,7 +25,7 @@ purposes.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..decision.property import Property
 from ..errors import GraphError

@@ -27,7 +27,7 @@ coverage fact, which rules out any Id-oblivious decider with that horizon.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from ...decision.classes import ImpossibilityCertificate
 from ...engine.base import EngineLike
@@ -40,7 +40,6 @@ from ...graphs.neighbourhood import Neighbourhood
 from ...local_model.algorithm import LocalAlgorithm
 from ...local_model.outputs import NO, YES, Verdict
 from ...analysis.coverage import build_impossibility_certificate
-from ...properties.paths import is_path  # noqa: F401  (re-exported convenience in tests)
 
 __all__ = [
     "CyclePromiseProblem",

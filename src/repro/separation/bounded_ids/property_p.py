@@ -22,7 +22,7 @@ The three algorithms of the construction:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ...analysis.coverage import build_impossibility_certificate
 from ...decision.classes import ImpossibilityCertificate
@@ -40,10 +40,8 @@ from .layered_trees import (
     bound_R,
     build_layered_tree,
     build_small_instance,
-    cell_label,
     covering_small_instances,
     enumerate_slab_specs,
-    max_small_instance_size,
     slab_border_nodes,
     slab_nodes,
 )

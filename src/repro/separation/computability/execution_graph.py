@@ -23,12 +23,11 @@ The paper's witness property is ``P = {G(M, r) : M outputs 0}``; see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ...decision.property import InstanceFamily, Property
-from ...errors import ConstructionError
+from ...decision.property import Property
 from ...graphs.labelled_graph import LabelledGraph, Node
-from ...turing.execution_table import Cell, ExecutionTable, cell_label
+from ...turing.execution_table import ExecutionTable, cell_label
 from ...turing.machine import TuringMachine
 from .fragments import Fragment, FragmentCollection
 

@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from ...errors import ConstructionError
 from ...graphs.labelled_graph import LabelledGraph, Node
 from ...turing.execution_table import Cell, cell_label, row_successors
-from ...turing.machine import BLANK, TuringMachine
+from ...turing.machine import TuringMachine
 
 __all__ = ["Fragment", "FragmentCollection", "enumerate_fragments", "fragment_collection"]
 

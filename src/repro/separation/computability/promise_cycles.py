@@ -22,7 +22,7 @@ that halts just after it.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional
 
 from ...decision.property import InstanceFamily, PromiseProperty
 from ...errors import ConstructionError

@@ -22,7 +22,7 @@ proof needs).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ...engine.base import EngineLike, resolve_engine
 from ...graphs.neighbourhood import Neighbourhood

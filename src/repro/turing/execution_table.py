@@ -29,11 +29,11 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..errors import TuringMachineError
 from ..graphs.labelled_graph import LabelledGraph
-from .machine import BLANK, Configuration, Move, TuringMachine
+from .machine import Configuration, Move, TuringMachine
 
 __all__ = [
     "Cell",

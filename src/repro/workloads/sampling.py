@@ -302,9 +302,7 @@ def _importance_score(
     near_defeat_fraction: float,
 ) -> int:
     """Score one cell's budget-worthiness against its prior result."""
-    if prior is None or not prior.summary:
-        return SCORE_MISSING
-    if not prior.spec_digest or prior.spec_digest != cell.spec.digest(quick):
+    if prior is None or not prior.settles(cell.spec, quick):
         return SCORE_MISSING
     if not prior.ok:
         return SCORE_FLIPPED

@@ -20,7 +20,7 @@ from repro.campaign import get_scenario, run_scenario
 from repro.decision import InstanceFamily, decide, verify_decider
 from repro.errors import AlgorithmError
 from repro.graphs import cycle_graph, path_graph
-from repro.local_model import NO, YES, FunctionIdObliviousAlgorithm
+from repro.local_model import YES, FunctionIdObliviousAlgorithm
 from repro.properties import (
     MaximalIndependentSetProperty,
     ProperColouringDecider,

@@ -5,7 +5,6 @@ import pytest
 from repro.decision import (
     ClassWitness,
     DecisionClass,
-    FunctionProperty,
     InstanceFamily,
     NonDeterministicDecider,
     ObliviousSimulation,

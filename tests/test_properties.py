@@ -4,12 +4,9 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 from repro.decision import verify_decider
 from repro.graphs import cycle_graph, grid_graph, path_graph, star_graph
 from repro.properties import (
-    IN_SET,
     OUT_SET,
     MaximalIndependentSetDecider,
     MaximalIndependentSetProperty,

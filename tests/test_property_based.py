@@ -1,12 +1,8 @@
 """Property-based (hypothesis) tests for the core data structures and invariants."""
 
-import random
-
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import (
-    IdAssignment,
-    LabelledGraph,
     cycle_graph,
     extract_neighbourhood,
     path_graph,

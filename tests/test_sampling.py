@@ -18,7 +18,9 @@ from repro.campaign.runner import (
     run_campaign,
     write_report,
 )
+from repro.campaign.spec import CampaignReport, ScenarioResult
 from repro.engine.parallel import ParallelEngine
+from repro.jsonl import append, open_append
 from repro.workloads import (
     SamplePlan,
     default_matrix,
@@ -26,6 +28,7 @@ from repro.workloads import (
     stratified_sample,
 )
 from repro.workloads.cli import main as workloads_main
+from repro.workloads.sampling import SCORE_MISSING, _importance_score
 
 #: Cheap, representative verify-only slice used by the campaign tests.
 _VERIFY = dict(kinds=["verify"])
@@ -231,6 +234,38 @@ class TestIncrementalCampaigns:
         )
         assert reused == 6, "2 from the report + 4 from the log"
         assert _verdict_rows(merged) == _verdict_rows(full)
+
+
+@pytest.fixture(scope="module")
+def recorded_cell():
+    """One quick verify cell and the payload of its freshly recorded result."""
+    cell = next(default_matrix(seed=0).iter_cells(**_VERIFY))
+    (result,) = run_campaign([cell.spec], quick=True).results
+    return cell, result.as_dict()
+
+
+@pytest.mark.parametrize("recorded", ["fresh", "stale-digest", "empty-summary", "absent"])
+def test_report_log_and_importance_readers_share_one_staleness_rule(tmp_path, recorded_cell, recorded):
+    cell, payload = recorded_cell
+    edits = {"fresh": {}, "stale-digest": {"spec_digest": "stale"}, "empty-summary": {"summary": ""}}
+    prior = [] if recorded == "absent" else [ScenarioResult.from_dict({**payload, **edits[recorded]})]
+    settles = recorded == "fresh"
+    # The report being resumed.
+    report_path = tmp_path / "report.json"
+    write_report(CampaignReport("prior", "cached", True, prior), report_path, now=0)
+    merged, reused = resume_campaign(report_path, [cell.spec], quick=True)
+    assert reused == int(settles)
+    assert [result.resumed for result in merged.results] == [settles]
+    # The incremental result log.
+    log = tmp_path / "results.jsonl"
+    with open_append(log) as handle:
+        for result in prior:
+            append(handle, result.as_dict(), fsync=False)
+    (from_log,) = run_campaign([cell.spec], quick=True, log_path=log).results
+    assert from_log.resumed == settles
+    # The importance sampler's score.
+    score = _importance_score(cell, prior[0] if prior else None, True, 0.8)
+    assert (score != SCORE_MISSING) == settles
 
 
 # ---------------------------------------------------------------------- #

@@ -4,7 +4,6 @@ import pytest
 
 from repro.decision import decide
 from repro.graphs import sequential_assignment
-from repro.local_model import NO, YES
 from repro.turing import BLANK, halting_machine, looping_machine, walker_machine
 from repro.separation.computability import (
     BoundedBudgetObliviousDecider,

@@ -7,8 +7,6 @@ from repro.turing import (
     BLANK,
     Cell,
     ExecutionTable,
-    Move,
-    Transition,
     TuringMachine,
     binary_counter_machine,
     consistent_cell,
