@@ -6,9 +6,10 @@ ladder of grid and torus graphs, ~8600 nodes in total) three ways:
 * **serial** — a fresh cold :class:`CachedEngine`, the fresh-engine-per-
   sweep baseline every campaign cell used to pay;
 * **parallel cold** — a forced-pool 2-worker :class:`ParallelEngine` on a
-  freshly forked pool (pays the fork tax and ships the payload once);
+  freshly forked pool (pays the fork tax and ships each worker its own
+  slice of the jobs once);
 * **parallel warm** — the same engine and job list again: the generation
-  matches, so nothing but chunk indices travels and the workers answer
+  matches, so the run messages carry no jobs and the workers answer
   from their warm caches.
 
 The record gates the pool's two load-bearing properties: warm sweeps
@@ -16,7 +17,7 @@ re-fork **nothing** (``forks_per_sweep_after_warmup == 0``) and beat the
 cold-serial baseline by >= 3x (``speedup_parallel_over_serial``, gated in
 CI through the consolidated ``check_regression.py --gate`` invocation).
 Payload-ship bytes are recorded so a regression that silently re-ships
-the payload every batch shows up in the JSON diff.
+the job slices every batch shows up in the JSON diff.
 """
 
 import time

@@ -196,7 +196,7 @@ def run_sweep(
             print(
                 "parallel: {parallel_batches} batch(es), {parallel_chunks} chunk(s), "
                 "{parallel_forks} fork(s), {payload_ships} payload ship(s) "
-                "({payload_ship_bytes} bytes), {coalesced_batches} coalesced".format(**parallel_totals)
+                "({payload_ship_bytes} bytes)".format(**parallel_totals)
             )
         default = args.resume if args.resume is not None else args.default_report
         target = args.output if args.output is not None else default

@@ -28,7 +28,6 @@ from ..graphs.identifiers import IdAssignment
 from ..graphs.labelled_graph import LabelledGraph
 from ..local_model.algorithm import RandomisedLocalAlgorithm
 from ..local_model.outputs import NO, Verdict
-from ..local_model.runner import run_randomised_algorithm
 from .property import InstanceFamily
 
 __all__ = [
@@ -100,16 +99,6 @@ def _accepts(outputs) -> bool:
                 f"randomised decider returned {out!r} at node {v!r}; expected YES or NO"
             )
     return all(out != NO for out in outputs.values())
-
-
-def _accepts_once(
-    algorithm: RandomisedLocalAlgorithm,
-    graph: LabelledGraph,
-    ids: Optional[IdAssignment],
-    seed: int,
-    engine: EngineLike = None,
-) -> bool:
-    return _accepts(run_randomised_algorithm(algorithm, graph, ids=ids, seed=seed, engine=engine))
 
 
 def estimate_acceptance_probability(

@@ -20,8 +20,9 @@
   each job list: two or more jobs on a forking multi-worker engine go to
   the pool, and an ``adaptive`` engine (the default) additionally needs
   ``nodes x (radius + 1)`` summed over the list to reach
-  :data:`~repro.engine.parallel.POOL_MIN_UNITS`.  Chunks are contiguous,
-  so verdicts match the serial backends for any worker count;
+  :data:`~repro.engine.parallel.POOL_MIN_UNITS`.  Each worker runs one
+  contiguous chunk and is shipped only its own slice of the jobs, so
+  verdicts match the serial backends for any worker count;
 * :class:`~repro.engine.persistent.PersistentEngine` — cross-run
   persistence: wraps any backend (``engine.with_store(path)``) with an
   on-disk :class:`~repro.engine.persistent.VerdictStore` so settled jobs

@@ -16,11 +16,12 @@ always runs in-process:
   each owns a fork-time copy of the shared warm
   :class:`~repro.engine.cached.CachedEngine`, so ball caches and verdict
   memos survive from one batch to the next;
-* **generation-tagged payloads** — a batch's payload is pickled once and
-  shipped to a worker only when the worker does not already hold it;
-  repeated sweeps over the same job list ship nothing but chunk indices.
-  Pickling is the only way a payload reaches a worker: a batch whose
-  algorithm does not pickle (a lambda or closure) runs in-process;
+* **one chunk per worker** — a batch's jobs are split into at most one
+  contiguous chunk per worker, and each worker is shipped only its own
+  pickled slice, and only when it does not already hold the batch's
+  generation; a repeated sweep over the same job list ships no jobs.
+  Pickling is the only way jobs reach a worker: a batch whose algorithm
+  does not pickle (a lambda or closure) runs in-process;
 * **one routing rule** — a batch with fewer than two jobs, a one-worker
   engine, or a process that cannot fork runs in-process.  Otherwise
   ``adaptive=False`` sends it to the pool, and ``adaptive=True`` (the
@@ -28,11 +29,11 @@ always runs in-process:
   1)`` summed over the batch, reach :data:`POOL_MIN_UNITS`.  The rule
   reads nothing but the batch, so the same batch routes the same way
   whatever ran before it;
-* **deterministic work partitioning** — jobs are split into contiguous
-  chunks of *global* indices and results are re-assembled in job order;
-  a randomised job carries its own seed, so verdicts are identical to
-  the serial backends for any worker count — the equivalence suite
-  asserts this;
+* **deterministic work partitioning** — the chunks are a pure function
+  of the job count and the worker count, and results are re-assembled in
+  job order; a randomised job carries its own seed, so verdicts are
+  identical to the serial backends for any worker count — the
+  equivalence suite asserts this;
 * **no store in the workers** — a wrapping
   :class:`~repro.engine.persistent.PersistentEngine` replays settled jobs
   in the parent and sends only the misses here, so workers compute and
@@ -179,7 +180,7 @@ class ParallelEngine(ExecutionEngine):
     # -- pool plumbing ----------------------------------------------------- #
 
     def _fan_out(self, payload: PoolPayload) -> Optional[List]:
-        """Run the payload's jobs in chunks on the persistent pool.
+        """Run the payload's jobs on the persistent pool, one chunk per worker.
 
         Returns the outputs in job order, or ``None`` when the pool could
         not run the batch (callers fall back to in-process execution): the
@@ -187,17 +188,16 @@ class ParallelEngine(ExecutionEngine):
         errors raised inside workers propagate.
         """
         chunks = partition_chunks(len(payload.jobs), self.workers)
-        workers = len(chunks)
         pool = get_pool()
         tracer = trace.active()
         before = pool.metrics.snapshot()
-        with trace.span("pool.fan_out", chunks=len(chunks), workers=workers) as sp:
+        with trace.span("pool.fan_out", chunks=len(chunks), workers=len(chunks)) as sp:
             # Workers trace into per-worker sidecar files parented under
             # this span; absorbing them (even on failure) keeps one sweep
             # one coherent tree in the parent's trace file.
             trace_ctx = (tracer.sidecar_dir(), sp.id) if tracer is not None else None
             try:
-                replies = pool.submit(payload, chunks, workers, trace_ctx=trace_ctx)
+                replies = pool.submit(payload, chunks, trace_ctx=trace_ctx)
             except (UnpicklablePayloadError, WorkerCrashError, OSError) as exc:
                 sp.add(failed=type(exc).__name__)
                 replies = None

@@ -5,21 +5,22 @@
   execution engine (a fork-time copy of :func:`shared_local_engine`), and
   survives across batches, sweeps, campaign scenarios and engine
   instances: the fork tax is paid once per process, not once per batch.
-* **One payload shape, one way to ship it** — a batch is an algorithm
-  plus a job list, each job ``(graph, ids)`` or ``(graph, ids, seed)``;
-  a worker runs each job it is sent through its engine's ``run`` or
-  ``run_randomised``.  The payload is pickled once and shipped to a
-  worker only when that worker does not already hold its generation, so
-  repeated sweeps over the same job list ship nothing but chunk indices.
-  A payload that does not pickle (a lambda- or closure-based algorithm)
-  raises :class:`UnpicklablePayloadError` before anything is forked or
-  sent, and the caller runs the batch in-process.
+* **One chunk per worker** — a batch is an algorithm plus a job list
+  (each job ``(graph, ids)`` or ``(graph, ids, seed)``) split into
+  contiguous chunks, and worker *i* runs chunk *i*.  Its run message
+  carries its own pickled slice of the jobs, or nothing when it already
+  holds the batch's generation, so a repeated sweep over the same job
+  list ships no jobs.  A payload that does not pickle (a lambda- or
+  closure-based algorithm) raises :class:`UnpicklablePayloadError`
+  before anything is forked or sent, and the caller runs the batch
+  in-process.
 * **Re-fork recovery** — a worker that dies mid-batch (killed, OOM,
-  crashed) is detected through its broken pipe, replaced by a fresh fork,
-  re-shipped the payload and re-sent its chunks; the batch completes
-  without loss.  A worker that cannot unpickle a payload (it was forked
-  before a class the payload names was importable) is replaced the same
-  way, once.
+  crashed) is detected through its broken pipe, replaced by a fresh fork
+  and re-sent its chunk, slice included; the batch completes without
+  loss.  A worker that cannot unpickle its slice (it was forked before a
+  class the slice names was importable) is replaced the same way.  Each
+  worker is replaced at most once per batch; a second failure raises
+  :class:`WorkerCrashError`.
 * :func:`shared_local_engine` — the process-wide warm
   :class:`~repro.engine.cached.CachedEngine` every ``ParallelEngine``
   runs in-process batches on; its memo is keyed by algorithm fingerprint,
@@ -28,7 +29,7 @@
   creates.  Workers inherit it at fork time, so they run the
   interned-graph path (:mod:`repro.engine.interned`) too.
 
-Which batches reach the pool is decided by
+Which batches reach the pool, and how they are chunked, is decided by
 :class:`~repro.engine.parallel.ParallelEngine`; this module only runs them.
 Workers compute every job they are sent: verdict-store replay happens in
 the parent (:class:`~repro.engine.persistent.PersistentEngine` checks the
@@ -52,7 +53,6 @@ from ..obs import trace
 from ..obs.metrics import (
     BATCHES,
     CHUNKS,
-    COALESCED_BATCHES,
     FORKS,
     PAYLOAD_SHIP_BYTES,
     PAYLOAD_SHIPS,
@@ -103,18 +103,18 @@ def reset_shared_local_engine() -> None:
 
 
 # ---------------------------------------------------------------------- #
-# Payloads and chunks
+# Payloads
 # ---------------------------------------------------------------------- #
 
 
 @dataclass
 class PoolPayload:
-    """One batch's work, shipped to workers at most once.
+    """One batch's work: an algorithm and its job list.
 
     A job is ``(graph, ids)`` for a deterministic algorithm or ``(graph,
-    ids, seed)`` for a randomised one.  Chunks are ``range`` objects of
-    global indices into ``jobs``, so any split into chunks executes
-    identically.
+    ids, seed)`` for a randomised one.  The pool splits the jobs into
+    contiguous chunks and ships each worker a ``PoolPayload`` holding only
+    its own slice, at most once per generation.
     """
 
     algorithm: Any
@@ -125,7 +125,7 @@ def _same_payload(a: PoolPayload, b: PoolPayload) -> bool:
     """Whether two payloads describe identical work (by object identity).
 
     Used for generation re-use: a repeated sweep that passes the same
-    algorithm and the same job objects must not re-ship the payload.
+    algorithm and the same job objects must not re-ship anything.
     Identity is sound because graphs and assignments are immutable.
     """
     if a.algorithm is not b.algorithm or len(a.jobs) != len(b.jobs):
@@ -147,49 +147,28 @@ def run_job(engine, algorithm, job: Tuple):
 # ---------------------------------------------------------------------- #
 
 
-def _execute_chunk(engine, payload: PoolPayload, chunk: range):
-    """Run one chunk of global job indices; return ``(outputs, stats)``.
-
-    Each job runs through the worker's caching engine exactly as the
-    serial drivers run it; a randomised job carries its own seed, so its
-    outputs do not depend on which worker or chunk runs it.
-    """
-    engine.reset_stats()
-    outputs = [run_job(engine, payload.algorithm, payload.jobs[i]) for i in chunk]
-    return outputs, engine.stats.as_dict()
-
-
 def _worker_main(conn) -> None:
-    """Long-lived worker loop: cache payloads by generation, run chunks."""
+    """Long-lived worker loop: run each run message's slice, or the held one
+    when the message carries none (this worker holds that generation)."""
     engine = shared_local_engine()  # fork-time warm copy of the parent's engine
-    payloads: Dict[int, PoolPayload] = {}
+    payload: Optional[PoolPayload] = None
     while True:
         try:
             message = conn.recv()
         except (EOFError, OSError, KeyboardInterrupt):
             break
-        tag = message[0]
-        if tag == "stop":
+        if message[0] == "stop":
             break
-        if tag == "payload":
-            _, generation, blob = message
+        _, generation, blob, trace_ctx = message
+        if blob is not None:
             try:
-                # Keep only the newest generation: batches are strictly ordered.
-                payloads = {generation: pickle.loads(blob)}
+                payload = pickle.loads(blob)
             except BaseException:
                 # Pickled-by-reference objects can fail to resolve in a
                 # worker forked before they were defined.  Tell the parent
                 # so it replaces this worker with a fresh fork.
-                payloads = {}
                 conn.send(("payload-error", generation))
-            continue
-        if tag != "run":  # pragma: no cover - defensive
-            continue
-        _, generation, chunks, trace_ctx = message
-        payload = payloads.get(generation)
-        if payload is None:
-            conn.send(("missing-payload", generation))
-            continue
+                continue
         if trace_ctx is not None:
             # Trace this batch into a per-worker sidecar file, every span
             # tagged with the worker id and parented (via root_parent)
@@ -206,10 +185,12 @@ def _worker_main(conn) -> None:
             except OSError:  # pragma: no cover - unwritable sidecar dir
                 trace_ctx = None
         try:
-            results = []
-            for chunk in chunks:
-                with trace.span("pool.chunk", jobs=len(chunk)):
-                    results.append(_execute_chunk(engine, payload, chunk))
+            # A randomised job carries its own seed, so its outputs do not
+            # depend on which worker runs it.
+            with trace.span("pool.chunk", jobs=len(payload.jobs)):
+                engine.reset_stats()
+                outputs = [run_job(engine, payload.algorithm, job) for job in payload.jobs]
+            result = (outputs, engine.stats.as_dict())
         except BaseException as exc:  # ship the failure, stay alive
             try:
                 conn.send(("error", exc))
@@ -219,7 +200,7 @@ def _worker_main(conn) -> None:
         finally:
             if trace_ctx is not None:
                 trace.disable()
-        conn.send(("ok", results))
+        conn.send(("ok", result))
     try:
         conn.close()
     except OSError:  # pragma: no cover - defensive
@@ -232,7 +213,7 @@ def _worker_main(conn) -> None:
 
 
 class WorkerCrashError(RuntimeError):
-    """A worker died repeatedly while executing one batch."""
+    """A worker died or rejected its slice twice while executing one batch."""
 
 
 class UnpicklablePayloadError(TypeError):
@@ -240,7 +221,7 @@ class UnpicklablePayloadError(TypeError):
 
 
 class _Handle:
-    """Parent-side view of one worker: process, pipe, payload generation."""
+    """Parent-side view of one worker: process, pipe, held generation."""
 
     __slots__ = ("process", "conn", "generation")
 
@@ -250,18 +231,11 @@ class _Handle:
         self.generation: Optional[int] = None
 
 
-@dataclass
-class _LastPayload:
-    payload: PoolPayload
-    generation: int
-    blob: bytes
-
-
 class WorkerPool:
     """Process-wide pool of persistent fork workers.
 
     One instance exists per process (see :func:`get_pool`); it grows
-    lazily to the largest worker count requested and shrinks only on
+    lazily to the largest chunk count submitted and shrinks only on
     :meth:`shutdown`.  Counters live in a typed
     :class:`~repro.obs.metrics.MetricsRegistry` as lifetime totals —
     callers snapshot ``metrics`` and :func:`~repro.obs.metrics.diff_snapshots`
@@ -273,8 +247,8 @@ class WorkerPool:
     def __init__(self) -> None:
         self._handles: List[_Handle] = []
         self._generation = 0
-        self._last: Optional[_LastPayload] = None
-        self._trace_ctx: Optional[Tuple[str, Optional[str]]] = None
+        #: The last batch's ``(payload, chunks, generation, slice blobs)``.
+        self._last: Optional[Tuple[PoolPayload, Tuple[range, ...], int, List[bytes]]] = None
         #: Lifetime counters, declared in repro.obs.metrics.POOL_COUNTERS.
         self.metrics = MetricsRegistry()
 
@@ -287,28 +261,18 @@ class WorkerPool:
 
     @property
     def payload_ships(self) -> int:
-        """Lifetime payload generations shipped (``payload_ships``)."""
+        """Lifetime slices shipped to workers (``payload_ships``)."""
         return int(self.metrics.get(PAYLOAD_SHIPS))
 
     @property
     def payload_ship_bytes(self) -> int:
-        """Lifetime pickled payload bytes shipped (``payload_ship_bytes``)."""
+        """Lifetime pickled slice bytes shipped (``payload_ship_bytes``)."""
         return int(self.metrics.get(PAYLOAD_SHIP_BYTES))
 
     @property
     def batches(self) -> int:
         """Lifetime batches submitted (``parallel_batches``)."""
         return int(self.metrics.get(BATCHES))
-
-    @property
-    def chunks_run(self) -> int:
-        """Lifetime chunks executed (``parallel_chunks``)."""
-        return int(self.metrics.get(CHUNKS))
-
-    @property
-    def coalesced_batches(self) -> int:
-        """Lifetime batches with more jobs than chunks (``coalesced_batches``)."""
-        return int(self.metrics.get(COALESCED_BATCHES))
 
     @property
     def deaths_recovered(self) -> int:
@@ -381,22 +345,26 @@ class WorkerPool:
 
     # -- payload generations ---------------------------------------------- #
 
-    def _generation_for(self, payload: PoolPayload) -> Tuple[int, bytes]:
-        """Resolve the payload's generation and pickled blob, re-using the
-        previous generation when the work is identical.
+    def _generation_for(self, payload: PoolPayload, chunks: Tuple[range, ...]) -> Tuple[int, List[bytes]]:
+        """The batch's generation and pickled slices (one per chunk); the
+        previous batch's are re-used when its work and chunks are identical.
 
         Raises :class:`UnpicklablePayloadError` when the payload does not
         pickle; nothing has been forked or sent at that point.
         """
-        if self._last is not None and _same_payload(self._last.payload, payload):
-            return self._last.generation, self._last.blob
+        last = self._last
+        if last is not None and last[1] == chunks and _same_payload(last[0], payload):
+            return last[2], last[3]
         try:
-            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            blobs = [
+                pickle.dumps(PoolPayload(payload.algorithm, payload.jobs[c.start:c.stop]), pickle.HIGHEST_PROTOCOL)
+                for c in chunks
+            ]
         except (pickle.PicklingError, TypeError, AttributeError) as exc:
             raise UnpicklablePayloadError(f"the batch payload does not pickle: {exc}") from exc
         self._generation += 1
-        self._last = _LastPayload(payload, self._generation, blob)
-        return self._generation, blob
+        self._last = (payload, chunks, self._generation, blobs)
+        return self._generation, blobs
 
     # -- batch submission -------------------------------------------------- #
 
@@ -404,121 +372,78 @@ class WorkerPool:
         self,
         payload: PoolPayload,
         chunks: Sequence[range],
-        workers: int,
         trace_ctx: Optional[Tuple[str, Optional[str]]] = None,
     ) -> List[Tuple]:
-        """Run the chunks across ``workers`` live workers; per-chunk results.
+        """Run chunk ``i`` of the payload's jobs on worker ``i``.
 
-        Chunk ``i`` is deterministically assigned to worker ``i % workers``
-        and a worker's chunks travel as one task message (the coalescing
-        seam).  Results return in chunk order.  A worker found dead is
-        replaced and its share re-sent; the batch never loses work.
+        Returns one ``(outputs, stats)`` pair per chunk, in chunk order.
+        A dead worker, or one that cannot unpickle its slice, is replaced
+        once and re-sent its chunk.
 
         ``trace_ctx`` is ``(sidecar_dir, parent_span_id)`` when the parent
-        is tracing this batch: every dispatch (including death-recovery
-        re-dispatches) extends it with the worker index and ships it in the
-        run message, so workers trace into per-worker sidecar files whose
-        spans hang off the parent's dispatch span.
+        is tracing this batch: every run message (re-sends included)
+        extends it with the worker index, so workers trace into per-worker
+        sidecar files whose spans hang off the parent's dispatch span.
 
         Raises :class:`UnpicklablePayloadError`, before forking or sending
         anything, when the payload does not pickle.
         """
         if not chunks:
             return []
-        generation, blob = self._generation_for(payload)
-        self._trace_ctx = trace_ctx
-        workers = max(1, min(workers, len(chunks)))
-        self._ensure(workers)
-        assignments: List[List[Tuple[int, range]]] = [
-            [(index, chunk) for index, chunk in enumerate(chunks)][w::workers] for w in range(workers)
-        ]
-        pending: List[int] = []
-        for w in range(workers):
-            if not assignments[w]:
-                continue
-            self._dispatch(w, generation, blob, assignments[w])
-            pending.append(w)
-        results: List[Optional[Tuple]] = [None] * len(chunks)
+        chunks = tuple(chunks)
+        generation, blobs = self._generation_for(payload, chunks)
+        self._ensure(len(chunks))
+        sent = [self._send(w, generation, blobs[w], trace_ctx) for w in range(len(chunks))]
+        results: List[Tuple] = []
         failure: Optional[BaseException] = None
-        for w in pending:
-            # Drain every dispatched worker even after a failure: an
-            # uncollected reply would desynchronise the next batch.
+        for w in range(len(chunks)):
+            # Drain every worker even after a failure: an uncollected
+            # reply would desynchronise the next batch.
             try:
-                replies = self._collect(w, generation, blob, assignments[w])
+                results.append(self._receive(w, generation, blobs[w], trace_ctx, sent[w]))
             except BaseException as exc:
-                if failure is None:
-                    failure = exc
-                continue
-            for (chunk_index, _), reply in zip(assignments[w], replies):
-                results[chunk_index] = reply
+                failure = failure or exc
         if failure is not None:
             raise failure
         self.metrics.inc(BATCHES)
         self.metrics.inc(CHUNKS, len(chunks))
-        if len(payload.jobs) > len(chunks):
-            self.metrics.inc(COALESCED_BATCHES)
-        return results  # type: ignore[return-value]
+        return results
 
-    def _dispatch(
-        self,
-        index: int,
-        generation: int,
-        blob: bytes,
-        tasks: List[Tuple[int, range]],
-        retried: bool = False,
-    ) -> None:
-        handle = self._handles[index]
-        chunk_ranges = [chunk for _, chunk in tasks]
-        try:
-            if handle.generation != generation:
-                handle.conn.send(("payload", generation, blob))
-                handle.generation = generation
-                self.metrics.inc(PAYLOAD_SHIPS)
-                self.metrics.inc(PAYLOAD_SHIP_BYTES, len(blob))
-            ctx = self._trace_ctx
-            worker_ctx = None if ctx is None else (ctx[0], ctx[1], index)
-            handle.conn.send(("run", generation, chunk_ranges, worker_ctx))
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            if retried:
-                raise WorkerCrashError(f"worker {index} died twice while receiving a batch")
-            self._replace_dead(index)
-            self._dispatch(index, generation, blob, tasks, retried=True)
+    def _send(self, index: int, generation: int, blob: bytes, trace_ctx) -> bool:
+        """Send worker ``index`` its run message; ``False`` when its pipe is broken.
 
-    def _collect(
-        self,
-        index: int,
-        generation: int,
-        blob: bytes,
-        tasks: List[Tuple[int, range]],
-        retried: bool = False,
-    ) -> List[Tuple]:
+        The slice travels only when the worker does not hold ``generation``.
+        """
         handle = self._handles[index]
+        ship = handle.generation != generation
+        worker_ctx = None if trace_ctx is None else (trace_ctx[0], trace_ctx[1], index)
         try:
-            reply = handle.conn.recv()
-        except (EOFError, ConnectionResetError, OSError):
-            # The worker died mid-batch: replace it, re-ship, re-run its
-            # share once.  A second death is a real crash worth raising.
-            if retried:
-                raise WorkerCrashError(f"worker {index} died twice while executing a batch")
-            self._replace_dead(index)
-            self._dispatch(index, generation, blob, tasks)
-            return self._collect(index, generation, blob, tasks, retried=True)
-        tag = reply[0]
-        if tag == "ok":
-            return reply[1]
-        if tag == "error":
-            raise reply[1]
-        if tag in ("payload-error", "missing-payload"):
-            # The worker does not hold the payload: it could not unpickle
-            # it (forked before a class it names was importable), or lost
-            # it.  A fresh fork can take it; replacing the worker also
-            # discards the run message still queued for it.
-            if retried:
-                raise WorkerCrashError(f"worker {index} rejected the payload twice")
-            self._replace_dead(index)
-            self._dispatch(index, generation, blob, tasks)
-            return self._collect(index, generation, blob, tasks, retried=True)
-        raise WorkerCrashError(f"worker {index} sent unknown reply {tag!r}")  # pragma: no cover
+            handle.conn.send(("run", generation, blob if ship else None, worker_ctx))
+        except OSError:
+            return False
+        if ship:
+            handle.generation = generation
+            self.metrics.inc(PAYLOAD_SHIPS)
+            self.metrics.inc(PAYLOAD_SHIP_BYTES, len(blob))
+        return True
+
+    def _receive(self, index: int, generation: int, blob: bytes, trace_ctx, sent: bool) -> Tuple:
+        """Worker ``index``'s ``(outputs, stats)``; a worker that died or
+        rejected its slice is replaced and re-sent its chunk once."""
+        for attempt in range(2):
+            if attempt:
+                self._replace_dead(index)
+                sent = self._send(index, generation, blob, trace_ctx)
+            try:
+                reply = self._handles[index].conn.recv() if sent else ("dead",)
+            except (EOFError, OSError):
+                reply = ("dead",)
+            if reply[0] == "ok":
+                return reply[1]
+            if reply[0] == "error":
+                raise reply[1]
+        self._handles[index].generation = None  # a live worker that rejected its slice holds none
+        raise WorkerCrashError(f"worker {index} died or rejected its slice twice in one batch")
 
     def _replace_dead(self, index: int) -> None:
         with trace.span("pool.worker_respawn", worker=index):
@@ -561,4 +486,3 @@ def shutdown_pool() -> None:
     """Shut the process-wide pool down (idempotent; re-forks lazily on use)."""
     if _POOL is not None:
         _POOL.shutdown()
-

@@ -32,7 +32,6 @@ __all__ = [
     "BALL_TABLES_GROWN",
     "BATCHES",
     "CHUNKS",
-    "COALESCED_BATCHES",
     "DECLARED",
     "FORKS",
     "INTERN_CACHE_HITS",
@@ -70,11 +69,10 @@ class Metric:
 # -- the worker-pool counters (names are the historical counters() keys) -- #
 
 FORKS = Metric("parallel_forks", "processes", "worker processes forked by the pool")
-PAYLOAD_SHIPS = Metric("payload_ships", "ships", "payload generations pickled and sent to workers")
-PAYLOAD_SHIP_BYTES = Metric("payload_ship_bytes", "bytes", "total pickled payload bytes shipped")
+PAYLOAD_SHIPS = Metric("payload_ships", "ships", "job slices pickled and sent, one per worker per generation")
+PAYLOAD_SHIP_BYTES = Metric("payload_ship_bytes", "bytes", "total pickled job-slice bytes shipped")
 BATCHES = Metric("parallel_batches", "batches", "submit() batches dispatched to the pool")
 CHUNKS = Metric("parallel_chunks", "chunks", "work chunks executed across all batches")
-COALESCED_BATCHES = Metric("coalesced_batches", "batches", "job-list batches with more jobs than chunks")
 WORKER_DEATHS = Metric("worker_deaths_recovered", "workers", "dead workers detected and respawned mid-batch")
 
 #: The pool's counters in their stable reporting order — the single source
@@ -85,7 +83,6 @@ POOL_COUNTERS: Tuple[Metric, ...] = (
     PAYLOAD_SHIP_BYTES,
     BATCHES,
     CHUNKS,
-    COALESCED_BATCHES,
     WORKER_DEATHS,
 )
 

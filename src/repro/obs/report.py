@@ -17,9 +17,11 @@ garbled lines from killed workers), rebuilds the span tree from
   count.  A partly replayed ``persistent`` batch counts its ``replayed``
   attribute on top of the computed jobs spanned below it, each replayed
   job at an equal share of the batch's time outside those spans,
-* the replay/compute breakdown summed from ``campaign.scenario`` span
-  attributes — by construction these equal the campaign report's
-  ``jobs_replayed`` / ``jobs_computed`` totals,
+* the replay/compute breakdown summed from the ``replayed`` /
+  ``computed`` attributes every store-backed ``persistent.*`` driver span
+  carries — every store lookup, shrink probes included, so a traced
+  campaign's totals equal its report's ``jobs_replayed`` /
+  ``jobs_computed`` and a bare store-backed sweep is counted too,
 * a ``--compare`` mode that diffs two traces kind-by-kind, the intended
   regression-triage workflow (trace the good commit, trace the bad one,
   read the Δ column).
@@ -104,7 +106,9 @@ def aggregate(spans: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     Returns a dict with ``kinds`` (per-kind count/cumulative/self seconds
     and duration percentiles), ``roots`` (spans with no in-trace parent),
     ``job_latency`` (percentiles over leaf job spans), and ``replay``
-    (summed ``jobs_replayed``/``jobs_computed`` from scenario spans).
+    (``campaign.scenario`` span count, and ``jobs_replayed`` /
+    ``jobs_computed`` summed from the ``replayed`` / ``computed``
+    attributes of ``persistent.*`` driver spans, shrink probes included).
     """
     ids = {span.get("id"): span.get("parent") for span in spans}
     child_seconds: Dict[str, float] = {}
@@ -157,8 +161,9 @@ def aggregate(spans: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
             job_durations.extend([outside / replayed_jobs] * replayed_jobs)
         if span["kind"] == "campaign.scenario":
             scenario_spans += 1
-            replayed += int(attrs.get("jobs_replayed", 0) or 0)
-            computed += int(attrs.get("jobs_computed", 0) or 0)
+        elif span["kind"].startswith("persistent."):
+            replayed += int(attrs.get("replayed", 0) or 0)
+            computed += int(attrs.get("computed", 0) or 0)
 
     for entry in kinds.values():
         durations = sorted(entry.pop("durations"))
@@ -238,16 +243,17 @@ def format_report(path: str, spans: Sequence[Dict[str, Any]]) -> str:
     else:
         lines.append("per-job latency: no job spans in this trace")
     replay = stats["replay"]
-    if replay["scenarios"]:
-        total_jobs = replay["jobs_replayed"] + replay["jobs_computed"]
-        rate = replay["jobs_replayed"] / total_jobs if total_jobs else 0.0
+    total_jobs = replay["jobs_replayed"] + replay["jobs_computed"]
+    if total_jobs:
+        scenarios = f" ({replay['scenarios']} scenario(s))" if replay["scenarios"] else ""
         lines.append(
-            f"store replay ({replay['scenarios']} scenario(s)): "
+            f"store replay{scenarios}: "
             f"jobs_replayed={replay['jobs_replayed']} "
-            f"jobs_computed={replay['jobs_computed']} (replay rate {rate:.1%})"
+            f"jobs_computed={replay['jobs_computed']} "
+            f"(replay rate {replay['jobs_replayed'] / total_jobs:.1%})"
         )
     else:
-        lines.append("store replay: no campaign.scenario spans in this trace")
+        lines.append("store replay: no store-backed batches in this trace")
     return "\n".join(lines)
 
 

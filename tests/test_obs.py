@@ -409,13 +409,14 @@ def test_aggregate_self_time_and_job_latency():
         {"kind": "campaign.run", "id": "p.1", "parent": None, "t0": 0.0, "t1": 10.0, "attrs": {}},
         {"kind": "cached.run", "id": "p.2", "parent": "p.1", "t0": 1.0, "t1": 4.0, "attrs": {}},
         {"kind": "cached.run", "id": "p.3", "parent": "p.1", "t0": 4.0, "t1": 5.0, "attrs": {}},
+        {"kind": "campaign.scenario", "id": "p.4", "parent": "p.1", "t0": 5.0, "t1": 6.0, "attrs": {}},
         {
-            "kind": "campaign.scenario",
-            "id": "p.4",
-            "parent": "p.1",
+            "kind": "persistent.run_many",
+            "id": "p.5",
+            "parent": "p.4",
             "t0": 5.0,
             "t1": 6.0,
-            "attrs": {"jobs_replayed": 7, "jobs_computed": 3},
+            "attrs": {"replayed": 7, "computed": 3},
         },
     ]
     stats = aggregate(spans)

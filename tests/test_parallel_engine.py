@@ -214,9 +214,9 @@ def test_single_graph_runs_stay_in_process():
     assert engine.stats.nodes_run == 2 * graph.num_nodes()
 
 
-def test_stats_are_exact_even_when_a_worker_takes_several_chunks():
-    # More chunks than workers: a fast worker picks up several chunks; each
-    # chunk must contribute its own counters exactly once.
+def test_stats_are_exact_with_one_chunk_per_worker():
+    # 16 jobs on 3 workers: one chunk per worker, each chunk contributing
+    # its own counters exactly once, on cold and warm sweeps alike.
     graphs = [cycle_graph(12, label="x") for _ in range(16)]
     engine = ParallelEngine(workers=3, adaptive=False)
     for _ in range(3):
@@ -225,6 +225,7 @@ def test_stats_are_exact_even_when_a_worker_takes_several_chunks():
         assert len(outputs) == 16
         assert engine.stats.nodes_run == 16 * 12
         assert _pool_batches(engine) == 1
+        assert engine.stats.extra["parallel_chunks"] == 3
 
 
 def test_empty_sweeps_short_circuit_without_forking():

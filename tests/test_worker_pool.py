@@ -4,13 +4,18 @@ The pool is process-wide and lazily created, so these tests bracket
 themselves with ``shutdown_pool()`` to start from a known-cold state; the
 pool re-forks lazily afterwards, so shutting it down never breaks later
 tests.  The load-bearing claims: workers survive across sweeps with zero
-re-forks, identical payloads are never re-shipped, a killed worker is
-replaced without losing a batch, shutdown is idempotent, an unpicklable
-decider runs in-process, a worker that cannot unpickle a payload is
-replaced by a fresh fork, verdict-store replay happens in the parent only
-(workers never open the store), and an adaptive engine routes a batch by
-its size alone, whatever ran before it.
+re-forks, a repeated identical sweep ships no job slices, a worker killed
+between batches or dying mid-batch is replaced without losing the batch,
+a worker that dies again after its replacement sends the batch
+in-process, shutdown is idempotent, an unpicklable decider runs
+in-process, a worker that cannot unpickle its slice is replaced by a
+fresh fork (and, if the fork cannot either, the batch runs in-process
+and the next one ships the slice again), verdict-store replay happens in the parent only (workers
+never open the store), and an adaptive engine routes a batch by its size
+alone, whatever ran before it.
 """
+
+import multiprocessing
 
 import os
 import signal
@@ -67,6 +72,30 @@ class ExplodingDecider:
         raise ZeroDivisionError("boom")
 
 
+class DyingDecider(Deg2Decider):
+    """Deg2Decider that kills the pool worker evaluating it.
+
+    With a ``marker`` path only the first worker to claim the marker dies
+    (its replacement finds the marker taken); without one every worker
+    dies.  In the parent process it evaluates normally.
+    """
+
+    name = "dying-deg2"
+
+    def __init__(self, marker=None):
+        self.marker = marker
+
+    def evaluate(self, view):
+        if multiprocessing.current_process().daemon:
+            try:
+                if self.marker is not None:
+                    os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL))
+                os._exit(1)
+            except FileExistsError:
+                pass
+        return super().evaluate(view)
+
+
 def _jobs(count=8, size=12):
     return [(cycle_graph(size, label="x"), None) for _ in range(count)]
 
@@ -114,8 +143,8 @@ def test_identical_payload_is_shipped_once(cold_pool, randomised):
     assert ships >= 1 and bytes_shipped > 0
     for _ in range(3):
         assert sweep(algorithm, jobs) == first
-    # Same algorithm object + same job list => same generation: nothing
-    # but chunk indices travelled in the warm sweeps.
+    # Same algorithm object + same job list => same generation: the warm
+    # sweeps' run messages carried no job slices.
     assert cold_pool.payload_ships == ships
     assert cold_pool.payload_ship_bytes == bytes_shipped
     if randomised:
@@ -184,6 +213,60 @@ def test_killed_worker_is_replaced_without_losing_the_batch(cold_pool):
     assert cold_pool.alive_workers() == 2
 
 
+def test_worker_dying_mid_batch_is_replaced_once(cold_pool, tmp_path):
+    decider = DyingDecider(str(tmp_path / "died"))
+    jobs = _jobs()
+    engine = ParallelEngine(workers=2, adaptive=False)
+    assert engine.run_many(decider, jobs) == CachedEngine().run_many(decider, jobs)
+    # The dead worker's chunk was re-sent to its replacement: the batch
+    # still ran on the pool.
+    assert engine.stats.extra["parallel_batches"] == 1
+    assert engine.stats.extra["worker_deaths_recovered"] == 1
+    assert cold_pool.alive_workers() == 2
+
+
+def test_worker_dying_again_after_replacement_runs_the_batch_in_process(cold_pool):
+    decider = DyingDecider()
+    jobs = _jobs()
+    engine = ParallelEngine(workers=2, adaptive=False)
+    deaths = cold_pool.deaths_recovered
+    assert engine.run_many(decider, jobs) == CachedEngine().run_many(decider, jobs)
+    # Each worker was replaced once, the replacement died too
+    # (WorkerCrashError), and the batch fell back in-process.
+    assert "parallel_batches" not in engine.stats.extra
+    assert cold_pool.deaths_recovered == deaths + 2
+
+
+def _rebuild_outside_workers():
+    if multiprocessing.current_process().daemon:
+        raise ImportError("this decider does not unpickle in a pool worker")
+    return UnpicklableInWorkersDecider()
+
+
+class UnpicklableInWorkersDecider(Deg2Decider):
+    """Deg2Decider that pickles in the parent but never unpickles in a worker."""
+
+    name = "unpicklable-in-workers"
+
+    def __reduce__(self):
+        return (_rebuild_outside_workers, ())
+
+
+def test_slice_rejected_twice_runs_in_process_and_is_reshipped_next_time(cold_pool):
+    decider = UnpicklableInWorkersDecider()
+    jobs = _jobs()
+    expected = CachedEngine().run_many(decider, jobs)
+    engine = ParallelEngine(workers=2, adaptive=False)
+    for _ in range(2):
+        # The identical sweep keeps its generation, but no worker holds it:
+        # each must be sent its slice again, not an empty run message.
+        engine.reset_stats()
+        ships = cold_pool.payload_ships
+        assert engine.run_many(decider, jobs) == expected
+        assert "parallel_batches" not in engine.stats.extra
+        assert cold_pool.payload_ships == ships + 4
+
+
 def test_worker_error_propagates_and_pool_stays_usable(cold_pool):
     engine = ParallelEngine(workers=2, adaptive=False)
     with pytest.raises(ZeroDivisionError, match="boom"):
@@ -249,7 +332,7 @@ def test_worker_forked_before_a_class_existed_is_replaced(cold_pool):
         outputs = engine.run_many(decider, jobs)
         assert outputs == CachedEngine().run_many(decider, jobs)
         # Each worker answered payload-error, was replaced by a fresh fork
-        # and shipped the payload again; the batch still ran on the pool.
+        # and shipped its slice again; the batch still ran on the pool.
         assert engine.stats.extra["parallel_batches"] == 1
         assert cold_pool.forks == forks + 2
         assert engine.stats.extra["worker_deaths_recovered"] == 2
