@@ -11,8 +11,8 @@ guided, batched, resumable workload instead of exhaustive enumeration:
   that proposes candidate batches and evaluates them through the engines'
   batched :meth:`~repro.engine.base.ExecutionEngine.run_many` seam (so
   :class:`~repro.engine.parallel.ParallelEngine` shards the hunt and a
-  verdict store replays probes across resumed hunts); its family-hunt
-  loop :func:`hunt_family` also backs ``verify_decider(search=...)``;
+  verdict store replays probes across resumed hunts), and the per-instance
+  :func:`hunt_instance` it runs on each instance, no-instances first;
 * :mod:`repro.adversary.shrink` — delta-debugging minimisation of found
   counter-examples to fewest nodes and smallest identifiers
   (:func:`shrink_counterexample` → :class:`MinimalCounterExample`);
@@ -31,7 +31,6 @@ from .search import (
     SearchReport,
     default_pool,
     find_counterexample,
-    hunt_family,
     hunt_instance,
 )
 from .shrink import MinimalCounterExample, shrink_counterexample
@@ -55,7 +54,6 @@ __all__ = [
     "SearchReport",
     "default_pool",
     "hunt_instance",
-    "hunt_family",
     "find_counterexample",
     "MinimalCounterExample",
     "shrink_counterexample",

@@ -14,18 +14,18 @@ probes across resumed hunts (the report's ``jobs_replayed`` /
 Instances are hunted no-instances first (false-accepts are what the
 paper's candidates are defeated by) and the hunt stops at the first defeat,
 which is then delta-debugged to a locally-minimal witness by
-:mod:`repro.adversary.shrink`.  Both :func:`find_counterexample` and
-``verify_decider(search=...)`` run the one family-hunt loop,
-:func:`hunt_family`; each keeps its own instance order, stop rule and
-report type.
+:mod:`repro.adversary.shrink`.  This is the code's one "exhibit an Id"
+loop; the "for every Id" quantifier is
+:func:`~repro.decision.decider.verify_decider`'s fixed sweep, and both
+turn outputs into verdicts through the same decision rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..decision.decider import CounterExample, _outcome_from_outputs
+from ..decision.decider import CounterExample, DecisionOutcome, _judge
 from ..decision.property import InstanceFamily, Property
 from ..engine.base import EngineLike, resolve_engine, store_counters, store_job_split
 from ..graphs.identifiers import IdAssignment, IdentifierSpace
@@ -39,12 +39,14 @@ __all__ = [
     "SearchReport",
     "default_pool",
     "hunt_instance",
-    "hunt_family",
     "find_counterexample",
 ]
 
 #: Builds the identifier pool one instance is hunted over.
 PoolFactory = Callable[[LabelledGraph], Sequence[int]]
+
+#: Membership checks a found counter-example's shrink may spend.
+SHRINK_BUDGET = 512
 
 
 def default_pool(graph: LabelledGraph, id_space: Optional[IdentifierSpace] = None) -> List[int]:
@@ -178,24 +180,24 @@ def hunt_instance(
     including the defeat, so strategy comparisons are apples-to-apples.
 
     Id-oblivious deciders cannot be defeated *by an assignment*: for them a
-    single canonical evaluation settles the instance.
+    single canonical evaluation settles the instance.  On either path a
+    defeat sets ``best_score`` to 1.0.
     """
     engine = resolve_engine(engine)
     hunt = InstanceHunt(expected=expected)
     n = graph.num_nodes()
+
+    def _judged(ids: Optional[IdAssignment], outputs) -> DecisionOutcome:
+        hunt.executions += 1
+        outcome, hunt.counter_example = _judge(outputs, expected, graph, ids, family_name)
+        if hunt.found:
+            hunt.best_score = 1.0
+        return outcome
+
     if not getattr(decider, "uses_identifiers", True):
         # Every assignment is equivalent; one evaluation settles it.
-        outcome = _outcome_from_outputs(engine.run(decider, graph, None))
-        hunt.executions, hunt.batches, hunt.exhausted = 1, 1, True
-        if outcome.accepted != expected:
-            hunt.counter_example = CounterExample(
-                graph=graph,
-                ids=None,
-                expected=expected,
-                accepted=outcome.accepted,
-                family=family_name,
-                rejecting_nodes=outcome.rejecting_nodes,
-            )
+        hunt.batches, hunt.exhausted = 1, True
+        _judged(None, engine.run(decider, graph, None))
         return hunt
     walker = resolve_strategy(strategy, graph, pool, seed)
     while hunt.executions < max_evaluations:
@@ -208,18 +210,8 @@ def hunt_instance(
             outputs_list = engine.run_many(decider, [(graph, ids) for ids in batch])
             scored: List[Tuple[IdAssignment, float]] = []
             for ids, outputs in zip(batch, outputs_list):
-                hunt.executions += 1
-                outcome = _outcome_from_outputs(outputs)
-                if outcome.accepted != expected:
-                    hunt.counter_example = CounterExample(
-                        graph=graph,
-                        ids=ids,
-                        expected=expected,
-                        accepted=outcome.accepted,
-                        family=family_name,
-                        rejecting_nodes=outcome.rejecting_nodes,
-                    )
-                    hunt.best_score = 1.0
+                outcome = _judged(ids, outputs)
+                if hunt.found:
                     sp.add(defeated=True)
                     return hunt
                 # Defeat-ward fraction: nodes already outputting the verdict
@@ -236,69 +228,8 @@ def hunt_instance(
 
 
 # ---------------------------------------------------------------------- #
-# Family-level drivers
+# Family-level driver
 # ---------------------------------------------------------------------- #
-
-
-def hunt_family(
-    decider,
-    instances: Iterable[Tuple[LabelledGraph, bool]],
-    stop_at_first: bool,
-    family_name: str,
-    strategy: StrategyLike,
-    prop: Optional[Property] = None,
-    id_space: Optional[IdentifierSpace] = None,
-    pool_factory: Optional[PoolFactory] = None,
-    max_evaluations: int = 256,
-    batch_size: int = 16,
-    seed: int = 0,
-    engine: EngineLike = None,
-    shrink: bool = True,
-    shrink_budget: int = 512,
-) -> Tuple[List[InstanceHunt], Tuple[int, int], List[MinimalCounterExample]]:
-    """The family-hunt loop behind :func:`find_counterexample` and ``verify_decider(search=...)``.
-
-    Hunts ``instances`` in the given order, each with its own
-    ``max_evaluations`` budget, stopping after the first defeat when
-    ``stop_at_first``.  Returns the per-instance hunts, the hunts'
-    ``(jobs_replayed, jobs_computed)`` split, and — with ``shrink`` — every
-    found counter-example delta-debugged to a locally-minimal witness
-    (ground truth recomputed via ``prop``).  ``pool_factory`` overrides the
-    identifier pool per instance — e.g. the promise problems' 1-based
-    convention — and defaults to :func:`default_pool` over ``id_space``.
-    """
-    engine = resolve_engine(engine)
-    hunts: List[InstanceHunt] = []
-    before = store_counters(engine)
-    for graph, expected in instances:
-        pool = list(pool_factory(graph)) if pool_factory is not None else default_pool(graph, id_space)
-        hunt = hunt_instance(
-            decider,
-            graph,
-            expected,
-            strategy=strategy,
-            pool=pool,
-            seed=seed,
-            max_evaluations=max_evaluations,
-            batch_size=batch_size,
-            engine=engine,
-            family_name=family_name,
-        )
-        hunts.append(hunt)
-        if hunt.found and stop_at_first:
-            break
-    # Attribute the hunts' jobs before shrinking, whose probes run through
-    # the same engine but are tallied inside each minimal witness instead.
-    split = store_job_split(engine, before, sum(hunt.executions for hunt in hunts))
-    minimal = [
-        shrink_counterexample(
-            decider, hunt.counter_example, prop=prop, id_space=id_space,
-            engine=engine, max_checks=shrink_budget,
-        )
-        for hunt in hunts
-        if shrink and hunt.found
-    ]
-    return hunts, split, minimal
 
 
 def find_counterexample(
@@ -313,37 +244,53 @@ def find_counterexample(
     seed: int = 0,
     engine: EngineLike = None,
     shrink: bool = True,
-    shrink_budget: int = 512,
 ) -> SearchReport:
     """Hunt an instance family for an assignment defeating the decider.
 
     Instances are tried no-instances first (the candidates' defeats are
     false-accepts), each with its own ``max_evaluations`` budget, and the
     hunt stops at the first defeat; with ``shrink`` (the default) the found
-    counter-example is delta-debugged to a locally-minimal witness before
-    the report is returned.  See :func:`hunt_family` for the other knobs.
+    counter-example is delta-debugged to a locally-minimal witness (ground
+    truth recomputed via ``prop``, at most :data:`SHRINK_BUDGET` checks)
+    before the report is returned.  ``pool_factory`` overrides the
+    identifier pool per instance — e.g. the promise problems' 1-based
+    convention — and defaults to :func:`default_pool` over ``id_space``.
     """
     if family is None:
         if prop is None:
             raise ValueError("find_counterexample needs a property or an instance family")
         family = InstanceFamily.from_property(prop)
-    labelled = family.labelled_instances()
-    hunts, (replayed, computed), minimal = hunt_family(
-        decider,
-        [pair for pair in labelled if not pair[1]] + [pair for pair in labelled if pair[1]],
-        stop_at_first=True,
-        family_name=family.name,
-        strategy=strategy,
-        prop=prop,
-        id_space=id_space,
-        pool_factory=pool_factory,
-        max_evaluations=max_evaluations,
-        batch_size=batch_size,
-        seed=seed,
-        engine=engine,
-        shrink=shrink,
-        shrink_budget=shrink_budget,
-    )
+    engine = resolve_engine(engine)
+    hunts: List[InstanceHunt] = []
+    before = store_counters(engine)
+    # A stable sort on membership: no-instances first, each kind in family order.
+    for graph, expected in sorted(family.labelled_instances(), key=lambda pair: pair[1]):
+        pool = list(pool_factory(graph)) if pool_factory is not None else default_pool(graph, id_space)
+        hunt = hunt_instance(
+            decider,
+            graph,
+            expected,
+            strategy=strategy,
+            pool=pool,
+            seed=seed,
+            max_evaluations=max_evaluations,
+            batch_size=batch_size,
+            engine=engine,
+            family_name=family.name,
+        )
+        hunts.append(hunt)
+        if hunt.found:
+            break
+    executions = sum(hunt.executions for hunt in hunts)
+    # Attribute the hunts' jobs before shrinking, whose probes run through
+    # the same engine but are tallied inside the minimal witness instead.
+    replayed, computed = store_job_split(engine, before, executions)
+    counter = hunts[-1].counter_example if hunts else None
+    minimal = None
+    if shrink and counter is not None:
+        minimal = shrink_counterexample(
+            decider, counter, prop=prop, id_space=id_space, engine=engine, max_checks=SHRINK_BUDGET
+        )
     return SearchReport(
         algorithm_name=getattr(decider, "name", type(decider).__name__),
         family_name=family.name,
@@ -352,11 +299,11 @@ def find_counterexample(
         batch_size=batch_size,
         seed=seed,
         instances_tried=len(hunts),
-        executions=sum(hunt.executions for hunt in hunts),
+        executions=executions,
         batches=sum(hunt.batches for hunt in hunts),
         jobs_computed=computed,
         jobs_replayed=replayed,
-        counter_example=next((hunt.counter_example for hunt in hunts if hunt.found), None),
-        minimal=minimal[0] if minimal else None,
+        counter_example=counter,
+        minimal=minimal,
         hunts=hunts,
     )

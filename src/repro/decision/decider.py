@@ -11,7 +11,10 @@ under *every* identifier assignment drawn from a finite pool (or a sample of
 random assignments) — this is the mechanical replacement for the paper's
 "for every Id" quantifier, and it is how the test-suite and benchmarks
 establish that the LD deciders of Sections 2 and 3 are correct and that
-candidate Id-oblivious deciders are not.
+candidate Id-oblivious deciders are not.  Every place that turns a job's
+outputs into a verdict — :func:`decide`, :func:`verify_decider`, the
+adversary's hunts and the Monte-Carlo acceptance estimate — applies the
+one rule ``_judge``.
 
 The whole ``(instance × assignment)`` grid is submitted through one
 ``engine.run_many`` call per sweep, so whichever backend is selected sees
@@ -67,7 +70,20 @@ class DecisionOutcome:
         return self.accepted
 
 
-def _check_outputs(outputs: Dict[Node, Hashable]) -> Dict[Node, Verdict]:
+def _judge(
+    outputs: Dict[Node, Hashable],
+    expected: Optional[bool] = None,
+    graph: Optional[LabelledGraph] = None,
+    ids: Optional[IdAssignment] = None,
+    family: str = "",
+) -> Tuple[DecisionOutcome, Optional[CounterExample]]:
+    """The one rule turning a job's outputs into a verdict.
+
+    Returns the :class:`DecisionOutcome` (raising :class:`DecisionError`
+    on a non-verdict output) and, when ``expected`` is given and the
+    global answer disagrees with it, the :class:`CounterExample` citing
+    ``(graph, ids)``.
+    """
     # One type test for the whole job; the per-node loop only names the offender.
     if not set(map(type, outputs.values())) <= {Verdict}:
         for v, out in outputs.items():
@@ -75,14 +91,21 @@ def _check_outputs(outputs: Dict[Node, Hashable]) -> Dict[Node, Verdict]:
                 raise DecisionError(
                     f"decider returned {out!r} at node {v!r}; decision algorithms must return YES or NO"
                 )
-    return dict(outputs)
-
-
-def _outcome_from_outputs(outputs: Dict[Node, Hashable]) -> DecisionOutcome:
-    clean = _check_outputs(outputs)
+    clean = dict(outputs)
     # Verdict members are singletons, so ``is NO`` is ``== NO`` at C speed.
     rejecting = tuple(itertools.compress(clean, map(operator.is_, clean.values(), itertools.repeat(NO))))
-    return DecisionOutcome(accepted=not rejecting, outputs=clean, rejecting_nodes=rejecting)
+    outcome = DecisionOutcome(accepted=not rejecting, outputs=clean, rejecting_nodes=rejecting)
+    if expected is None or outcome.accepted == expected:
+        return outcome, None
+    counter = CounterExample(
+        graph=graph,
+        ids=ids,
+        expected=expected,
+        accepted=outcome.accepted,
+        family=family,
+        rejecting_nodes=rejecting,
+    )
+    return outcome, counter
 
 
 def decide_outcome(
@@ -92,7 +115,7 @@ def decide_outcome(
     engine: EngineLike = None,
 ) -> DecisionOutcome:
     """Run a decision algorithm on one input and return the detailed outcome."""
-    return _outcome_from_outputs(run_algorithm(algorithm, graph, ids, engine=engine))
+    return _judge(run_algorithm(algorithm, graph, ids, engine=engine))[0]
 
 
 def decide(
@@ -172,9 +195,6 @@ class VerificationReport:
     jobs_computed: int = 0
     jobs_replayed: int = 0
     counter_examples: List[CounterExample] = field(default_factory=list)
-    #: Locally-minimal witnesses produced by the adversarial shrinker
-    #: (:mod:`repro.adversary.shrink`); populated by ``verify_decider(search=...)``.
-    minimal_counterexamples: List["MinimalCounterExample"] = field(default_factory=list)  # noqa: F821
 
     @property
     def correct(self) -> bool:
@@ -185,11 +205,6 @@ class VerificationReport:
     def first_counterexample(self) -> Optional[CounterExample]:
         """The first observed failure (with its identifier assignment), or ``None``."""
         return self.counter_examples[0] if self.counter_examples else None
-
-    @property
-    def first_minimal(self) -> Optional["MinimalCounterExample"]:  # noqa: F821
-        """The first shrunk witness, or ``None`` when no shrinking was performed."""
-        return self.minimal_counterexamples[0] if self.minimal_counterexamples else None
 
     def summary(self) -> str:
         """One-line human-readable summary, citing the first counter-example on failure."""
@@ -202,14 +217,11 @@ class VerificationReport:
             line += f" ({self.jobs_replayed} replayed / {self.jobs_computed} computed)"
         if not self.correct:
             line += f"; first: {self.first_counterexample.describe()}"
-            if self.first_minimal is not None:
-                line += f"; {self.first_minimal.describe()}"
         return line
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready summary (used by campaign reports)."""
         first = self.first_counterexample
-        minimal = self.first_minimal
         return {
             "algorithm": self.algorithm_name,
             "family": self.family_name,
@@ -220,7 +232,9 @@ class VerificationReport:
             "correct": self.correct,
             "counter_examples": len(self.counter_examples),
             "first_counterexample": None if first is None else first.as_dict(),
-            "first_minimal": None if minimal is None else minimal.as_dict(),
+            # Shrunk witnesses belong to find_counterexample's SearchReport;
+            # the key stays so recorded verify details keep their shape.
+            "first_minimal": None,
         }
 
 
@@ -278,145 +292,60 @@ def verify_decider(
     exhaustive_pool: Optional[Sequence[int]] = None,
     samples: int = 4,
     seed: int = 0,
-    stop_at_first_failure: bool = False,
     assignments_factory: Optional[Callable[[LabelledGraph], Sequence[IdAssignment]]] = None,
     engine: EngineLike = None,
-    search: Optional[object] = None,
-    search_budget: int = 256,
-    search_batch: int = 16,
-    shrink: bool = True,
 ) -> VerificationReport:
     """Verify a decider against ground truth on a family of instances.
 
-    For every instance in the family (or in the property's own generators)
-    and every identifier assignment produced by :func:`assignments_for` —
-    or by ``assignments_factory`` when a problem needs a bespoke legal-
-    assignment convention, e.g. the 1-based identifiers of the Section-2/3
-    promise problems — the decider is run and its global accept/reject
-    compared with the property's membership answer.  Failures are recorded
-    as :class:`CounterExample`\\ s carrying the witnessing assignment (see
+    For every instance in the family (or in the property's own generators
+    when ``family`` is ``None``) and every identifier assignment produced
+    by :func:`assignments_for` — or by ``assignments_factory`` when a
+    problem needs a bespoke legal-assignment convention, e.g. the 1-based
+    identifiers of the Section-2/3 promise problems — the decider is run
+    and its global accept/reject compared with the property's membership
+    answer.  Every failure is recorded as a :class:`CounterExample`
+    carrying the witnessing assignment (see
     :attr:`VerificationReport.first_counterexample`).
 
     ``engine`` selects the execution backend for the whole sweep.  The
-    sweep's ``(graph, assignment)`` grid is submitted through the engine's
-    batched :meth:`~repro.engine.base.ExecutionEngine.run_many` driver: the
-    :class:`~repro.engine.cached.CachedEngine` answers repeats from its
-    memo stores, and the :class:`~repro.engine.parallel.ParallelEngine`
-    shards the grid across its worker pool (per whole family, or per
-    instance when ``stop_at_first_failure`` limits how much work may run).
-    An engine wrapped in a cross-run verdict store
-    (``engine.with_store(path)``) replays already-settled jobs from disk
-    and only fans out the misses; the report's ``jobs_replayed`` /
-    ``jobs_computed`` fields record that split.
+    sweep's ``(graph, assignment)`` grid is submitted through one call of
+    the engine's batched :meth:`~repro.engine.base.ExecutionEngine.run_many`
+    driver: the :class:`~repro.engine.cached.CachedEngine` answers repeats
+    from its memo stores, and the :class:`~repro.engine.parallel.ParallelEngine`
+    shards the grid across its worker pool.  An engine wrapped in a
+    cross-run verdict store (``engine.with_store(path)``) replays
+    already-settled jobs from disk and only fans out the misses; the
+    report's ``jobs_replayed`` / ``jobs_computed`` fields record that split.
 
-    ``search`` switches the sweep from a fixed assignment pool to guided
-    adversarial search (:mod:`repro.adversary`): a strategy name
-    (``"exhaustive"`` / ``"random"`` / ``"hill-climb"``) or factory hunts
-    each instance under a per-instance ``search_budget``, and — with
-    ``shrink`` (the default) — every failure is delta-debugged into
-    :attr:`VerificationReport.minimal_counterexamples`.  The hunted pool
-    is ``exhaustive_pool`` when given, otherwise the ``id_space``'s legal
-    universe (see :func:`~repro.adversary.search.default_pool`);
-    ``samples`` plays no role in search mode, and ``assignments_factory``
-    is incompatible with it — a factory pins the exact assignments to
-    sweep, which contradicts searching for them.
+    Hunting for *one* defeating assignment, rather than checking every
+    assignment of a fixed pool, is
+    :func:`~repro.adversary.search.find_counterexample`'s job.
     """
-    family = family or InstanceFamily.from_property(prop)
+    family = InstanceFamily.from_property(prop) if family is None else family
     engine = resolve_engine(engine)
     report = VerificationReport(algorithm_name=algorithm.name, family_name=family.name)
-    if search is not None:
-        if assignments_factory is not None:
-            raise DecisionError(
-                "verify_decider(search=...) cannot honour assignments_factory: "
-                "a fixed assignment list contradicts searching for one; "
-                "restrict the hunted pool via exhaustive_pool or id_space instead"
-            )
-        from ..adversary.search import hunt_family
-
-        hunts, (report.jobs_replayed, report.jobs_computed), report.minimal_counterexamples = hunt_family(
-            algorithm,
-            family.labelled_instances(),
-            stop_at_first=stop_at_first_failure,
-            family_name=family.name,
-            strategy=search,
-            prop=prop,
-            id_space=id_space,
-            pool_factory=(None if exhaustive_pool is None else (lambda graph: exhaustive_pool)),
-            max_evaluations=search_budget,
-            batch_size=search_batch,
-            seed=seed,
-            engine=engine,
-            shrink=shrink,
-        )
-        report.instances_checked = len(hunts)
-        report.assignments_checked = sum(hunt.executions for hunt in hunts)
-        report.counter_examples = [hunt.counter_example for hunt in hunts if hunt.found]
-        return report
     # Snapshot the engine's store counters so the report can attribute this
     # sweep's jobs to replay vs fresh computation (zero/zero for storeless
     # engines, in which case every checked assignment counts as computed).
     before = store_counters(engine)
-
-    def _finalise() -> VerificationReport:
-        report.jobs_replayed, report.jobs_computed = store_job_split(
-            engine, before, report.assignments_checked
-        )
-        return report
-
-    def _assignments(graph: LabelledGraph) -> List[IdAssignment]:
+    jobs: List[Tuple[LabelledGraph, IdAssignment]] = []
+    expected: List[bool] = []
+    for graph, member in family.labelled_instances():
         if assignments_factory is not None:
-            return list(assignments_factory(graph))
-        return assignments_for(
-            graph,
-            id_space=id_space,
-            exhaustive_pool=exhaustive_pool,
-            samples=samples,
-            seed=seed,
-        )
-
-    def _scan(graph, expected, assignments, outputs_list) -> bool:
-        """Fold one instance's sweep into the report; ``True`` to stop early."""
-        for ids, outputs in zip(assignments, outputs_list):
-            report.assignments_checked += 1
-            outcome = _outcome_from_outputs(outputs)
-            if outcome.accepted != expected:
-                report.counter_examples.append(
-                    CounterExample(
-                        graph=graph,
-                        ids=ids,
-                        expected=expected,
-                        accepted=outcome.accepted,
-                        family=family.name,
-                        rejecting_nodes=outcome.rejecting_nodes,
-                    )
-                )
-                if stop_at_first_failure:
-                    return True
-        return False
-
-    labelled = family.labelled_instances()
-    if stop_at_first_failure:
-        # Batch per instance so no work is spent past the failing graph.
-        for graph, expected in labelled:
-            report.instances_checked += 1
-            assignments = _assignments(graph)
-            outputs_list = engine.run_many(algorithm, [(graph, ids) for ids in assignments])
-            if _scan(graph, expected, assignments, outputs_list):
-                return _finalise()
-        return _finalise()
-
+            assignments = list(assignments_factory(graph))
+        else:
+            assignments = assignments_for(
+                graph, id_space=id_space, exhaustive_pool=exhaustive_pool, samples=samples, seed=seed
+            )
+        report.instances_checked += 1
+        jobs.extend((graph, ids) for ids in assignments)
+        expected.extend([member] * len(assignments))
     # One batch over the whole (instance x assignment) grid: maximal fan-out
     # for sharding backends, identical verdict order for serial ones.
-    grid: List[Tuple[LabelledGraph, bool, List[IdAssignment]]] = []
-    jobs: List[Tuple[LabelledGraph, Optional[IdAssignment]]] = []
-    for graph, expected in labelled:
-        assignments = _assignments(graph)
-        grid.append((graph, expected, assignments))
-        jobs.extend((graph, ids) for ids in assignments)
-    outputs_list = engine.run_many(algorithm, jobs)
-    cursor = 0
-    for graph, expected, assignments in grid:
-        report.instances_checked += 1
-        _scan(graph, expected, assignments, outputs_list[cursor : cursor + len(assignments)])
-        cursor += len(assignments)
-    return _finalise()
+    for (graph, ids), member, outputs in zip(jobs, expected, engine.run_many(algorithm, jobs)):
+        counter = _judge(outputs, member, graph, ids, family.name)[1]
+        if counter is not None:
+            report.counter_examples.append(counter)
+    report.assignments_checked = len(jobs)
+    report.jobs_replayed, report.jobs_computed = store_job_split(engine, before, len(jobs))
+    return report

@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..engine.base import EngineLike, resolve_engine, store_counters, store_job_split
-from ..errors import DecisionError
 from ..graphs.identifiers import IdAssignment
 from ..graphs.labelled_graph import LabelledGraph
 from ..local_model.algorithm import RandomisedLocalAlgorithm
-from ..local_model.outputs import NO, Verdict
+from .decider import _judge
 from .property import InstanceFamily
 
 __all__ = [
@@ -92,15 +91,6 @@ class AcceptanceEstimate:
         return wilson_interval(self.accepts, self.trials, z)
 
 
-def _accepts(outputs) -> bool:
-    for v, out in outputs.items():
-        if not isinstance(out, Verdict):
-            raise DecisionError(
-                f"randomised decider returned {out!r} at node {v!r}; expected YES or NO"
-            )
-    return all(out != NO for out in outputs.values())
-
-
 def estimate_acceptance_probability(
     algorithm: RandomisedLocalAlgorithm,
     graph: LabelledGraph,
@@ -125,7 +115,7 @@ def estimate_acceptance_probability(
     before = store_counters(engine)
     jobs = [(graph, ids, rng.randrange(2**62)) for _ in range(trials)]
     outputs_list = engine.run_randomised_many(algorithm, jobs)
-    accepts = sum(1 for outputs in outputs_list if _accepts(outputs))
+    accepts = sum(1 for outputs in outputs_list if _judge(outputs)[0].accepted)
     replayed, computed = store_job_split(engine, before, trials)
     return AcceptanceEstimate(
         instance_nodes=graph.num_nodes(),

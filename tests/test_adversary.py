@@ -17,10 +17,10 @@ from repro.adversary import (
 from repro.adversary.cli import main as adversary_main
 from repro.adversary.cli import search_scenarios
 from repro.campaign import get_scenario, run_scenario
-from repro.decision import InstanceFamily, decide, verify_decider
+from repro.decision import InstanceFamily, decide
 from repro.errors import AlgorithmError
 from repro.graphs import cycle_graph, path_graph
-from repro.local_model import YES, FunctionIdObliviousAlgorithm
+from repro.local_model import NO, YES, FunctionIdObliviousAlgorithm
 from repro.properties import (
     MaximalIndependentSetProperty,
     ProperColouringDecider,
@@ -156,6 +156,19 @@ def test_hunt_instance_respects_budget_when_no_defeat_exists():
     assert hunt.executions == 1 and hunt.exhausted
     # ...and it correctly rejects the empty selection, so no defeat.
     assert not hunt.found
+
+
+def test_defeated_oblivious_hunt_scores_like_a_defeated_batch():
+    # An always-NO Id-oblivious decider falsely rejects every yes-instance;
+    # its one-evaluation hunt must report the defeat with the batch path's score.
+    always_no = FunctionIdObliviousAlgorithm(lambda v: NO, radius=0, name="always-no")
+    hunt = hunt_instance(
+        always_no, cycle_graph(5), expected=True, strategy="random", pool=range(10)
+    )
+    assert hunt.found and hunt.counter_example.kind == "false-reject"
+    assert hunt.executions == 1 and hunt.exhausted
+    assert hunt.best_score == 1.0
+    assert hunt.as_dict()["best_score"] == 1.0
 
 
 def test_hunt_budget_capped_for_id_dependent_decider():
@@ -326,39 +339,30 @@ def test_shrink_without_property_only_minimises_identifiers():
 
 
 # ---------------------------------------------------------------------- #
-# verify_decider(search=...) and the campaign integration
+# Minimal witnesses and the campaign integration
 # ---------------------------------------------------------------------- #
 
 
-def test_verify_decider_search_mode_attaches_minimal_counterexamples():
+def test_find_counterexample_attaches_minimal_counterexample():
     prop = MaximalIndependentSetProperty()
     family = InstanceFamily(
         "trap-sweep",
         yes_instances=[],
         no_instances=[_empty_mis_cycle(4), _empty_mis_cycle(6)],
     )
-    report = verify_decider(
+    report = find_counterexample(
         ParityAuditMISDecider(),
-        prop,
+        prop=prop,
         family=family,
-        search="hill-climb",
-        search_budget=800,
+        strategy="hill-climb",
+        max_evaluations=800,
     )
     # default_pool gives {0..2n-1}; all-even assignments exist there too.
-    assert not report.correct
-    assert len(report.counter_examples) == 2
-    assert len(report.minimal_counterexamples) == 2
-    assert report.first_minimal.counter.graph.num_nodes() == 1
+    assert report.found
+    assert report.instances_tried == 1  # the hunt stops at the first defeat
+    assert report.minimal.counter.graph.num_nodes() == 1
     assert "minimal false-accept" in report.summary()
-    assert report.as_dict()["first_minimal"]["locally_minimal"] is True
-
-
-def test_verify_decider_search_mode_passes_sound_decider():
-    prop = ProperColouringProperty(3)
-    report = verify_decider(ProperColouringDecider(3), prop, search="random", search_budget=20)
-    assert report.correct
-    assert report.minimal_counterexamples == []
-    assert report.assignments_checked > 0
+    assert report.as_dict()["minimal"]["locally_minimal"] is True
 
 
 def test_bundled_search_scenarios_behave_and_cite_minimal_witness():
@@ -506,45 +510,26 @@ def test_hill_climb_batch_of_one_does_not_drop_the_high_seed():
     assert identifiers == {(0, 1, 2), (9, 8, 7)}
 
 
-def test_verify_decider_search_honours_exhaustive_pool():
+def test_find_counterexample_honours_pool_factory():
     prop = MaximalIndependentSetProperty()
     family = InstanceFamily("pool-bound", no_instances=[_empty_mis_cycle(3)])
+
+    def hunt(pool):
+        return find_counterexample(
+            ParityAuditMISDecider(),
+            prop=prop,
+            family=family,
+            strategy="exhaustive",
+            pool_factory=lambda graph: pool,
+            max_evaluations=10,
+        )
+
     # An all-odd pool leaves the parity auditor no silent corner: every
     # assignment makes every violating node report, so the hunt must fail.
-    report = verify_decider(
-        ParityAuditMISDecider(),
-        prop,
-        family=family,
-        exhaustive_pool=[1, 3, 5],
-        search="exhaustive",
-        search_budget=10,
-    )
-    assert report.correct
+    assert not hunt([1, 3, 5]).found
     # An all-even pool is nothing but silent corners: defeat on the first try.
-    report = verify_decider(
-        ParityAuditMISDecider(),
-        prop,
-        family=family,
-        exhaustive_pool=[0, 2, 4],
-        search="exhaustive",
-        search_budget=10,
-    )
-    assert not report.correct
-
-
-def test_verify_decider_search_rejects_assignments_factory():
-    from repro.errors import DecisionError
-    from repro.graphs import sequential_assignment
-
-    prop = MaximalIndependentSetProperty()
-    with pytest.raises(DecisionError, match="assignments_factory"):
-        verify_decider(
-            ParityAuditMISDecider(),
-            prop,
-            family=InstanceFamily("x", no_instances=[_empty_mis_cycle(3)]),
-            assignments_factory=lambda g: [sequential_assignment(g)],
-            search="hill-climb",
-        )
+    report = hunt([0, 2, 4])
+    assert report.found and report.executions == 1
 
 
 def test_adversary_cli_compare_conflicts_with_strategy():

@@ -18,6 +18,7 @@ from repro.decision import (
     verify_nondeterministic_decider,
     wilson_interval,
 )
+from repro.engine import DirectEngine
 from repro.errors import DecisionError, PromiseViolationError
 from repro.graphs import cycle_graph, path_graph, sequential_assignment
 from repro.local_model import (
@@ -42,10 +43,19 @@ def test_decide_semantics():
 
 
 def test_decider_must_return_verdicts():
+    # decide, the verification sweep and the Monte-Carlo estimate all turn
+    # outputs into verdicts through the one rule, so all three reject "maybe".
     g = path_graph(2)
     alg = FunctionIdObliviousAlgorithm(lambda v: "maybe", radius=0)
-    with pytest.raises(DecisionError):
+    rule = "decision algorithms must return YES or NO"
+    with pytest.raises(DecisionError, match=rule):
         decide(alg, g)
+    family = InstanceFamily("maybe", yes_instances=[g])
+    with pytest.raises(DecisionError, match=rule):
+        verify_decider(alg, ProperColouringProperty(3), family=family, samples=1)
+    coin = FunctionRandomisedAlgorithm(lambda v, rng: "maybe", radius=0, name="maybe")
+    with pytest.raises(DecisionError, match=rule):
+        estimate_acceptance_probability(coin, g, trials=3)
 
 
 def test_verify_decider_reports_counterexamples():
@@ -59,6 +69,47 @@ def test_verify_decider_reports_counterexamples():
     assert not report.correct
     assert all(not ce.expected for ce in report.counter_examples)  # only false accepts
     assert "FAILED" in report.summary()
+
+
+def test_verify_decider_honours_an_empty_family():
+    prop = ProperColouringProperty(3)
+    report = verify_decider(ProperColouringDecider(3), prop, family=InstanceFamily("empty"))
+    assert report.family_name == "empty"
+    assert report.instances_checked == 0 and report.assignments_checked == 0
+    assert report.correct
+
+
+class _CountingEngine(DirectEngine):
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+    def run_many(self, algorithm, jobs):
+        self.batches.append(len(jobs))
+        return super().run_many(algorithm, jobs)
+
+
+def test_verify_decider_runs_the_whole_grid_in_one_batch_and_records_every_failure():
+    prop = ProperColouringProperty(3)
+    # Two no-instances (monochromatic cycles), k assignments each.
+    family = InstanceFamily(
+        "mono", no_instances=[cycle_graph(n).with_labels({i: 0 for i in range(n)}) for n in (4, 5)]
+    )
+    k = 3
+    always_yes = FunctionIdObliviousAlgorithm(lambda v: YES, radius=1, name="always-yes")
+    engine = _CountingEngine()
+    report = verify_decider(
+        always_yes,
+        prop,
+        family=family,
+        assignments_factory=lambda g: [sequential_assignment(g, start) for start in range(k)],
+        engine=engine,
+    )
+    assert engine.batches == [2 * k]
+    assert report.instances_checked == 2 and report.assignments_checked == 2 * k
+    # Every failing assignment is recorded, not just the first per instance.
+    assert len(report.counter_examples) == 2 * k
+    assert {ce.kind for ce in report.counter_examples} == {"false-accept"}
 
 
 def test_promise_property_raises_outside_promise():

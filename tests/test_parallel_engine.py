@@ -337,14 +337,3 @@ def test_first_counterexample_cites_assignment():
     payload = report.as_dict()
     assert payload["first_counterexample"]["assignment"]
     assert payload["correct"] is False
-
-
-def test_stop_at_first_failure_still_reports_assignment():
-    family = _cycle_path_family(sizes=(8,))
-    prop = _cycle_property()
-    always_yes = FunctionIdObliviousAlgorithm(_always_yes, radius=1, name="always-yes")
-    report = verify_decider(
-        always_yes, prop, family=family, samples=2, stop_at_first_failure=True, engine=_parallel(2)
-    )
-    assert len(report.counter_examples) == 1
-    assert report.first_counterexample.as_dict()["assignment"] is not None
