@@ -159,6 +159,13 @@ class SearchReport:
 # ---------------------------------------------------------------------- #
 
 
+def _score(outcome: DecisionOutcome, expected: bool, n: int) -> float:
+    """Defeat-ward fraction: the share of the ``n`` nodes already outputting
+    the verdict that would flip the global answer against ``expected``."""
+    rejecting = len(outcome.rejecting_nodes) / n if n else 0.0
+    return rejecting if expected else 1.0 - rejecting
+
+
 def hunt_instance(
     decider,
     graph: LabelledGraph,
@@ -180,19 +187,20 @@ def hunt_instance(
     including the defeat, so strategy comparisons are apples-to-apples.
 
     Id-oblivious deciders cannot be defeated *by an assignment*: for them a
-    single canonical evaluation settles the instance.  On either path a
-    defeat sets ``best_score`` to 1.0.
+    single canonical evaluation settles the instance.  Both paths score an
+    evaluation the same way, and a defeat sets ``best_score`` to 1.0.
     """
     engine = resolve_engine(engine)
     hunt = InstanceHunt(expected=expected)
     n = graph.num_nodes()
 
-    def _judged(ids: Optional[IdAssignment], outputs) -> DecisionOutcome:
+    def _judged(ids: Optional[IdAssignment], outputs) -> float:
+        """Judge one job's outputs and return its score."""
         hunt.executions += 1
         outcome, hunt.counter_example = _judge(outputs, expected, graph, ids, family_name)
-        if hunt.found:
-            hunt.best_score = 1.0
-        return outcome
+        score = 1.0 if hunt.found else _score(outcome, expected, n)
+        hunt.best_score = max(hunt.best_score, score)
+        return score
 
     if not getattr(decider, "uses_identifiers", True):
         # Every assignment is equivalent; one evaluation settles it.
@@ -210,18 +218,11 @@ def hunt_instance(
             outputs_list = engine.run_many(decider, [(graph, ids) for ids in batch])
             scored: List[Tuple[IdAssignment, float]] = []
             for ids, outputs in zip(batch, outputs_list):
-                outcome = _judged(ids, outputs)
+                score = _judged(ids, outputs)
                 if hunt.found:
                     sp.add(defeated=True)
                     return hunt
-                # Defeat-ward fraction: nodes already outputting the verdict
-                # that would flip the global answer against `expected`.
-                if expected:
-                    score = len(outcome.rejecting_nodes) / n if n else 0.0
-                else:
-                    score = 1.0 - (len(outcome.rejecting_nodes) / n if n else 0.0)
                 scored.append((ids, score))
-                hunt.best_score = max(hunt.best_score, score)
             sp.add(best_score=hunt.best_score)
         walker.observe(scored)
     return hunt

@@ -103,9 +103,10 @@ def estimate_acceptance_probability(
 
     All ``trials`` repetitions are submitted as one batch through the
     engine's :meth:`~repro.engine.base.ExecutionEngine.run_randomised_many`
-    driver: a caching backend reuses the batched ball extraction across
-    them (randomised outputs themselves are never memoised), and a parallel
-    backend shards the trials across its worker pool.  Each trial's run
+    driver: every backend produces the graph's views once and reuses them
+    across the trials (randomised outputs themselves are never memoised),
+    and a parallel backend shards the trials across its worker pool, each
+    worker reusing the views across its chunk.  Each trial's run
     seed is drawn up-front from ``random.Random(seed)`` — the exact
     sequence the serial loop used — so the estimate is identical for every
     backend and worker count.

@@ -264,9 +264,20 @@ class ExecutionEngine(ABC):
     ) -> Dict[Node, Hashable]:
         """Backend implementation of :meth:`run_randomised` (unspanned)."""
         chosen = list(nodes) if nodes is not None else list(graph.nodes())
-        use_ids = self._ids_for(algorithm, ids)
+        view_map = self.views(graph, algorithm.radius, self._ids_for(algorithm, ids), chosen)
+        return self._evaluate_randomised(algorithm, view_map, chosen, seed)
+
+    def _evaluate_randomised(
+        self,
+        algorithm: "RandomisedLocalAlgorithm",
+        view_map: Mapping[Node, Neighbourhood],
+        chosen: Sequence[Node],
+        seed: Optional[int],
+    ) -> Dict[Node, Hashable]:
+        """Evaluate one randomised run over ready views: the node at position
+        ``index`` of ``chosen`` draws from ``derive_node_seed(seed, index)``
+        (``seed=None`` draws a fresh run seed from the global generator)."""
         base = seed if seed is not None else random.randrange(2**63)
-        view_map = self.views(graph, algorithm.radius, use_ids, chosen)
         outputs: Dict[Node, Hashable] = {}
         for index, v in enumerate(chosen):
             rng = random.Random(derive_node_seed(base, index))
@@ -284,7 +295,8 @@ class ExecutionEngine(ABC):
     # ``(graph, ids)`` / ``(graph, ids, seed)`` jobs.  They submit whole job
     # lists through these two methods so that a parallel backend can shard
     # the list across workers; the default implementations run the jobs
-    # sequentially, which keeps every serial backend's behaviour unchanged.
+    # sequentially, and the randomised one produces the views of a run of
+    # jobs on one input once.
 
     def run_many(
         self,
@@ -324,8 +336,25 @@ class ExecutionEngine(ABC):
         algorithm: "RandomisedLocalAlgorithm",
         jobs: Sequence[Tuple[LabelledGraph, Optional[IdAssignment], int]],
     ) -> List[Dict[Node, Hashable]]:
-        """Backend implementation of :meth:`run_randomised_many` (unspanned)."""
-        return [self.run_randomised(algorithm, graph, ids, seed) for graph, ids, seed in jobs]
+        """Backend implementation of :meth:`run_randomised_many` (unspanned).
+
+        Randomness enters only through each node's ``rng``, so the views of
+        a job equal the previous job's whenever both run on the same graph
+        object under the same assignment object (any assignment, for an
+        Id-oblivious algorithm).  A run of such jobs — a Monte-Carlo
+        estimate's trials, a pool chunk of them — produces its views once;
+        every job is still evaluated node by node with its own seed.
+        """
+        results: List[Dict[Node, Hashable]] = []
+        last: Optional[Tuple[LabelledGraph, Optional[IdAssignment]]] = None
+        for graph, ids, seed in jobs:
+            use_ids = self._ids_for(algorithm, ids)
+            if last is None or last[0] is not graph or last[1] is not use_ids:
+                chosen = list(graph.nodes())
+                view_map = self.views(graph, algorithm.radius, use_ids, chosen)
+                last = (graph, use_ids)
+            results.append(self._evaluate_randomised(algorithm, view_map, chosen, seed))
+        return results
 
     # ------------------------------------------------------------------ #
     # Cross-run persistence seam

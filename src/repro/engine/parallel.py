@@ -57,7 +57,7 @@ from ..graphs.neighbourhood import Neighbourhood
 from ..obs import trace
 from ..obs.metrics import POOL_COUNTERS, diff_snapshots
 from .base import EngineStats, ExecutionEngine
-from .pool import PoolPayload, UnpicklablePayloadError, WorkerCrashError, get_pool, run_job
+from .pool import PoolPayload, UnpicklablePayloadError, WorkerCrashError, get_pool, run_jobs
 from .pool import shared_local_engine, shutdown_pool
 
 if TYPE_CHECKING:  # type-only; keeps engine ↔ local_model import-cycle-free
@@ -259,7 +259,7 @@ class ParallelEngine(ExecutionEngine):
         if outputs is not None:
             return outputs
         with self._borrow_inner() as inner:
-            return [run_job(inner, algorithm, job) for job in jobs]
+            return run_jobs(inner, algorithm, jobs)
 
     #: Deterministic and randomised job lists take the one path.
     _run_many_core = _run_randomised_many_core = _run_jobs

@@ -135,11 +135,12 @@ def _same_payload(a: PoolPayload, b: PoolPayload) -> bool:
     )
 
 
-def run_job(engine, algorithm, job: Tuple):
-    """Run one ``(graph, ids)`` or ``(graph, ids, seed)`` job on ``engine``."""
-    if len(job) == 3:
-        return engine.run_randomised(algorithm, *job)
-    return engine.run(algorithm, *job)
+def run_jobs(engine, algorithm, jobs: Sequence[Tuple]) -> List:
+    """Run a ``(graph, ids)`` or ``(graph, ids, seed)`` job list on ``engine``
+    as one batch, so a randomised chunk produces each input's views once."""
+    if jobs and len(jobs[0]) == 3:
+        return engine.run_randomised_many(algorithm, jobs)
+    return engine.run_many(algorithm, jobs)
 
 
 # ---------------------------------------------------------------------- #
@@ -189,7 +190,7 @@ def _worker_main(conn) -> None:
             # depend on which worker runs it.
             with trace.span("pool.chunk", jobs=len(payload.jobs)):
                 engine.reset_stats()
-                outputs = [run_job(engine, payload.algorithm, job) for job in payload.jobs]
+                outputs = run_jobs(engine, payload.algorithm, payload.jobs)
             result = (outputs, engine.stats.as_dict())
         except BaseException as exc:  # ship the failure, stay alive
             try:

@@ -106,7 +106,8 @@ class LabelledGraph:
 
         Internal fast path for the interned core (:mod:`repro.engine.
         interned`), which derives ``adj``/``labels`` from arrays that are
-        correct by construction.  ``adj`` must be a symmetric simple
+        correct by construction, and for :meth:`induced_subgraph`, which
+        restricts an already valid graph.  ``adj`` must be a symmetric simple
         adjacency of frozensets and ``labels`` must cover exactly its keys;
         both are adopted without copying.
         """
@@ -287,22 +288,18 @@ class LabelledGraph:
         keep = set(nodes)
         for v in keep:
             self._require_node(v)
-        # Collect edges by scanning only the kept nodes' adjacency lists, so
-        # extracting a small ball from a large graph costs O(sum of kept
-        # degrees) rather than O(total edges).
-        sub_edges = []
-        for u in keep:
-            for w in self._adj[u]:
-                if w in keep and repr(u) <= repr(w):
-                    sub_edges.append((u, w))
-        sub_labels = {v: self._labels[v] for v in keep}
         # preserve original insertion order for determinism when the subset is
         # a large fraction of the graph; otherwise order by the subset itself
         if len(keep) * 4 >= len(self._adj):
             ordered = [v for v in self._adj if v in keep]
         else:
             ordered = list(keep)
-        return LabelledGraph(ordered, sub_edges, sub_labels)
+        # Restricting this graph's symmetric simple adjacency to ``keep``
+        # keeps it symmetric and simple, so the subgraph skips
+        # re-validation; extracting a small ball from a large graph costs
+        # O(sum of kept degrees) rather than O(total edges).
+        adj, labels = self._adj, self._labels
+        return LabelledGraph._from_trusted({v: adj[v] & keep for v in ordered}, {v: labels[v] for v in ordered})
 
     def relabel_nodes(self, mapping: Mapping[Node, Node]) -> "LabelledGraph":
         """Return an isomorphic copy with node names replaced via ``mapping``.

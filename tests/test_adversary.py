@@ -20,7 +20,7 @@ from repro.campaign import get_scenario, run_scenario
 from repro.decision import InstanceFamily, decide
 from repro.errors import AlgorithmError
 from repro.graphs import cycle_graph, path_graph
-from repro.local_model import NO, YES, FunctionIdObliviousAlgorithm
+from repro.local_model import NO, YES, FunctionAlgorithm, FunctionIdObliviousAlgorithm
 from repro.properties import (
     MaximalIndependentSetProperty,
     ProperColouringDecider,
@@ -169,6 +169,27 @@ def test_defeated_oblivious_hunt_scores_like_a_defeated_batch():
     assert hunt.executions == 1 and hunt.exhausted
     assert hunt.best_score == 1.0
     assert hunt.as_dict()["best_score"] == 1.0
+
+
+def _reject_leaves(view):
+    return NO if view.center_degree() == 1 else YES
+
+
+def test_undefeated_oblivious_hunt_scores_like_the_identifier_using_form():
+    # A radius-1 decider rejecting exactly at the two leaves of P_6 is right
+    # on a no-instance; 4 of 6 nodes output the defeat-ward YES.  The
+    # one-evaluation oblivious hunt must score that like a batch job does.
+    graph = path_graph(6)
+    oblivious = FunctionIdObliviousAlgorithm(_reject_leaves, radius=1, name="leaf-reject")
+    id_using = FunctionAlgorithm(_reject_leaves, radius=1, name="leaf-reject-ids")
+    single = hunt_instance(oblivious, graph, expected=False, strategy="random", pool=range(12))
+    batched = hunt_instance(
+        id_using, graph, expected=False, strategy="random", pool=range(12), max_evaluations=4
+    )
+    assert not single.found and not batched.found
+    assert (single.executions, batched.executions) == (1, 4)
+    assert single.best_score == batched.best_score == pytest.approx(4 / 6)
+    assert round(single.as_dict()["best_score"], 3) == 0.667
 
 
 def test_hunt_budget_capped_for_id_dependent_decider():

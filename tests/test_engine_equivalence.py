@@ -21,11 +21,12 @@ import sys
 import pytest
 
 from repro.analysis import neighbourhood_keys
-from repro.decision import assignments_for, decide, verify_decider
+from repro.decision import assignments_for, decide, estimate_acceptance_probability, verify_decider
 from repro.engine import (
     CachedEngine,
     DirectEngine,
     LRUStore,
+    ParallelEngine,
     SynchronousEngine,
     derive_node_seed,
     resolve_engine,
@@ -47,6 +48,7 @@ from repro.local_model import (
     FunctionAlgorithm,
     FunctionIdObliviousAlgorithm,
     FunctionRandomisedAlgorithm,
+    RandomisedLocalAlgorithm,
     run_randomised_algorithm,
     simulate_algorithm,
 )
@@ -226,6 +228,80 @@ def test_node_seeds_do_not_depend_on_pythonhashseed():
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------- #
+# Randomised batches
+# ---------------------------------------------------------------------- #
+
+
+def _noise(view, rng):
+    return rng.randrange(2**32)
+
+
+class _IdSaltedNoise(RandomisedLocalAlgorithm):
+    """A randomised algorithm in the full LOCAL model: coins salted by identifiers."""
+
+    radius = 1
+
+    @property
+    def uses_identifiers(self):
+        return True
+
+    def evaluate(self, view, rng):
+        return (sum(view.identifiers()), rng.randrange(2**32))
+
+
+#: Module-level, so both pickle and the parallel batches reach the pool.
+OBL_NOISE = FunctionRandomisedAlgorithm(_noise, radius=1, name="noise-r1")
+ID_NOISE = _IdSaltedNoise(name="id-salted-noise")
+
+BATCH_ENGINES = {
+    "direct": DirectEngine,
+    "synchronous": SynchronousEngine,
+    "cached": CachedEngine,
+    "parallel-2": lambda: ParallelEngine(workers=2, adaptive=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_ENGINES))
+def test_randomised_batches_equal_per_job_runs(name):
+    # A batch produces the views of a run of jobs on one input once; every
+    # job's outputs must still equal its own run_randomised, on one
+    # repeated graph, on interleaved graphs, and under distinct assignments.
+    engine = BATCH_ENGINES[name]()
+    a = random_graph(9, 0.4, seed=5, label=("s", 1))
+    b = grid_graph(3, 3, label="g")
+    ids_1 = random_assignment(a, rng=random.Random(1))
+    ids_2 = random_assignment(a, rng=random.Random(2))
+    cases = [
+        (OBL_NOISE, [(a, None, seed) for seed in range(4)]),
+        (OBL_NOISE, [(a, None, 10), (b, None, 11), (a, None, 12)]),
+        (OBL_NOISE, [(a, ids_1, 20), (a, ids_2, 21), (a, ids_1, 22)]),
+        (ID_NOISE, [(a, ids_1, 30), (a, ids_1, 31), (a, ids_2, 32), (a, ids_2, 33), (a, ids_1, 34)]),
+    ]
+    oracle = DirectEngine()
+    for algorithm, jobs in cases:
+        per_job = [engine.run_randomised(algorithm, graph, ids, seed) for graph, ids, seed in jobs]
+        assert engine.run_randomised_many(algorithm, jobs) == per_job
+        assert per_job == [oracle.run_randomised(algorithm, graph, ids, seed) for graph, ids, seed in jobs]
+    # The salted outputs really depend on the assignment...
+    assert [out[0] for out in per_job[0].values()] != [out[0] for out in per_job[2].values()]
+    # ...and the parallel batches really ran on the pool.
+    if name.startswith("parallel"):
+        assert engine.stats.extra["parallel_batches"] == len(cases)
+
+
+def test_acceptance_estimate_extracts_each_ball_once():
+    # Four trials on one graph share its views: n extractions, not 4n.
+    graph = random_graph(9, 0.4, seed=5, label=("s", 1))
+    engine = DirectEngine()
+    estimate = estimate_acceptance_probability(
+        FunctionRandomisedAlgorithm(lambda view, rng: YES, radius=1, name="yes"), graph, trials=4, engine=engine
+    )
+    assert estimate.trials == estimate.accepts == 4
+    assert engine.stats.ball_extractions == graph.num_nodes()
+    assert engine.stats.evaluations == 4 * graph.num_nodes()
 
 
 # ---------------------------------------------------------------------- #

@@ -1,9 +1,12 @@
 """Unit tests for repro.graphs.labelled_graph."""
 
+import random
+
 import pytest
 
 from repro.errors import GraphError, LabelError
 from repro.graphs import LabelledGraph, cycle_graph, grid_graph, path_graph
+from repro.workloads import bundled_families
 
 
 def test_basic_construction_and_accessors():
@@ -83,6 +86,40 @@ def test_induced_subgraph_preserves_labels_and_edges():
     assert sub.num_nodes() == 3
     assert sub.num_edges() == 2
     assert all(sub.label(v) == "x" for v in sub.nodes())
+
+
+def _named_variants(graph):
+    """``graph`` with distinct labels, under its own, string and tuple node names."""
+    labelled = graph.map_labels(lambda v, lab: ("lab", repr(v)))
+    yield labelled
+    yield labelled.relabel_nodes({v: f"s{v!r}" for v in labelled.nodes()})
+    yield labelled.relabel_nodes({v: ("t", repr(v)) for v in labelled.nodes()})
+
+
+@pytest.mark.parametrize("family", bundled_families(), ids=lambda fam: fam.name)
+def test_induced_subgraph_equals_the_validating_constructor(family):
+    # induced_subgraph restricts the parent's adjacency without
+    # re-validating it; the result must equal the validating constructor
+    # on the same nodes, in the order the subset rule picks: the parent's
+    # order from a quarter of the graph up, the subset's own order below.
+    rng = random.Random(family.name)
+    for graph in _named_variants(family.build(max(family.sizes), 7)):
+        nodes = graph.nodes()
+        n = len(nodes)
+        for size in sorted({0, 1, max(0, n // 4 - 1), n // 4, -(-n // 4), n // 2, n}):
+            subset = rng.sample(nodes, min(size, n))
+            sub = graph.induced_subgraph(subset)
+            keep = set(subset)
+            ordered = [v for v in nodes if v in keep] if len(keep) * 4 >= n else list(keep)
+            edges = [(u, w) for u, w in graph.edges() if u in keep and w in keep]
+            expected = LabelledGraph(ordered, edges, {v: graph.label(v) for v in keep})
+            assert sub == expected and hash(sub) == hash(expected)
+            assert sub.nodes() == expected.nodes() == tuple(ordered)
+            assert all(sub.neighbours(v) == expected.neighbours(v) for v in ordered)
+            assert all(isinstance(sub.neighbours(v), frozenset) for v in ordered)
+            assert sub.num_edges() == len(edges)
+        with pytest.raises(GraphError, match="not in the graph"):
+            graph.induced_subgraph([nodes[0], "no-such-node"])
 
 
 def test_relabel_nodes_roundtrip():
