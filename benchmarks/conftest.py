@@ -5,17 +5,22 @@ classification table, Figures 1-3, the promise problems, Theorems 1-2,
 Corollary 1) at laptop scale and asserts the qualitative outcome the paper
 reports; the measured timings are reported by pytest-benchmark.
 
-Benchmarks that emit a machine-readable record write it through the
-``write_record`` fixture into the git-ignored ``benchmarks/out/``, so a
-test run never rewrites the committed ``benchmarks/BENCH_*.json``
-baselines.
+Benchmarks that emit a machine-readable record time it through
+``_measure.measure`` and write it through the ``write_record`` fixture
+into the git-ignored ``benchmarks/out/``, so a test run never rewrites the
+committed ``benchmarks/BENCH_*.json`` baselines.
 """
 
 import json
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from repro.decision import FunctionProperty, InstanceFamily, verify_decider
+from repro.graphs import cycle_graph, path_graph
+from repro.local_model import NO, YES, FunctionIdObliviousAlgorithm
 from repro.turing import halting_machine
 
 #: Where fresh benchmark records go; CI gates them against the committed ones.
@@ -31,6 +36,45 @@ def write_record():
         (RECORDS_OUT / f"BENCH_{name}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     return write
+
+
+@pytest.fixture
+def cycles_vs_paths():
+    """The ``verify_decider`` cycles-vs-paths sweep the engine and store benches time.
+
+    Property: "the input is a uniformly-labelled cycle".  The Id-oblivious
+    radius-1 decider (every visible node has degree 2 and the right label)
+    is the textbook LD* membership proof for this family; paths are the
+    no-instances (their endpoints reject).  Every ball of a cycle is
+    isomorphic, so a caching backend evaluates one view per graph where
+    the direct backend evaluates |V| x |assignments| of them.
+    ``verify(engine=...)`` runs the sweep: 16 random identifier assignments
+    per instance plus the canonical one, seed 11.
+    """
+    sizes, samples = (64, 96, 128), 16
+
+    def evaluate(view):
+        if view.center_degree() != 2:
+            return NO
+        if any(view.label_of(v) != "x" for v in view.nodes()):
+            return NO
+        return YES
+
+    decider = FunctionIdObliviousAlgorithm(evaluate, radius=1, name="cycle-decider")
+    prop = FunctionProperty(
+        lambda g: g.num_nodes() >= 3 and all(g.degree(v) == 2 for v in g.nodes()),
+        name="uniform-cycle",
+    )
+    family = InstanceFamily(
+        name=f"cycles-vs-paths(n in {sizes})",
+        yes_instances=[cycle_graph(n, label="x") for n in sizes],
+        no_instances=[path_graph(n, label="x") for n in sizes],
+        description="uniformly labelled cycles (yes) and paths (no)",
+    )
+    return SimpleNamespace(
+        sizes=sizes, samples=samples, decider=decider, family=family,
+        verify=partial(verify_decider, decider, prop, family=family, samples=samples, seed=11),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,9 @@ Each guided defeat is then delta-debugged; the bench asserts the minimal
 witness still defeats the candidate and is locally minimal.
 """
 
-import time
+from functools import partial
+
+from _measure import measure, record
 
 from repro.adversary import (
     LazyGuardColouringDecider,
@@ -34,6 +36,7 @@ from repro.properties import MaximalIndependentSetProperty, ProperColouringPrope
 #: Per-instance budget for the exhaustive-reachable comparison: enough for
 #: lexicographic enumeration to reach the first defeating assignment at n=4.
 _BUDGET = 8000
+ROUNDS, WARMUP = 3, 0
 
 
 def _bench_traps():
@@ -56,8 +59,9 @@ def _bench_traps():
 
 
 def _hunt(trap, strategy, shrink=False):
-    start = time.perf_counter()
-    report = find_counterexample(
+    """The timed call of one hunt on ``trap`` (a factory for :func:`measure`)."""
+    return partial(
+        find_counterexample,
         trap["decider"],
         prop=trap["prop"],
         family=trap["family"],
@@ -68,7 +72,6 @@ def _hunt(trap, strategy, shrink=False):
         seed=0,
         shrink=shrink,
     )
-    return report, time.perf_counter() - start
 
 
 def _hunt_quick_spec(spec, strategy):
@@ -90,12 +93,20 @@ def _hunt_quick_spec(spec, strategy):
 
 
 def test_bench_guided_search_beats_exhaustive_enumeration(write_record):
-    record = {}
+    traps = _bench_traps()
+    timings, hunts = measure(
+        {
+            f"{name}/{strategy}": partial(_hunt, trap, strategy, shrink=strategy == "hill-climb")
+            for name, trap in traps.items()
+            for strategy in ("exhaustive", "hill-climb", "random")
+        },
+        rounds=ROUNDS,
+        warmup=WARMUP,
+    )
+    comparison = {}
     ratios = []
-    for name, trap in _bench_traps().items():
-        exhaustive, t_exhaustive = _hunt(trap, "exhaustive")
-        guided, t_guided = _hunt(trap, "hill-climb", shrink=True)
-        random_walk, _ = _hunt(trap, "random")
+    for name, trap in traps.items():
+        exhaustive, guided, random_walk = (hunts[f"{name}/{s}"] for s in ("exhaustive", "hill-climb", "random"))
 
         # Both reach the same defeat (a false-accept of the no-instance)...
         assert exhaustive.found and guided.found
@@ -116,7 +127,7 @@ def test_bench_guided_search_beats_exhaustive_enumeration(write_record):
         assert not trap["prop"].contains(graph)
         assert graph.num_nodes() <= guided.counter_example.graph.num_nodes()
 
-        record[name] = {
+        comparison[name] = {
             "n": 4,
             "budget": _BUDGET,
             "executions": {
@@ -126,10 +137,6 @@ def test_bench_guided_search_beats_exhaustive_enumeration(write_record):
             },
             "random_found": random_walk.found,
             "ratio_exhaustive_over_guided": round(ratio, 3),
-            "seconds": {
-                "exhaustive": round(t_exhaustive, 6),
-                "hill_climb": round(t_guided, 6),
-            },
             "minimal": {
                 "nodes": graph.num_nodes(),
                 "max_id": ids.max_identifier() if ids is not None else -1,
@@ -159,11 +166,12 @@ def test_bench_guided_search_beats_exhaustive_enumeration(write_record):
 
     payload = {
         "workload": "counterexample hunts on the bundled trap candidates",
-        "strategy_comparison": record,
+        "strategy_comparison": comparison,
         "beyond_exhaustive_reach": beyond,
         # Deterministic headline (execution counts, not wall-clock): the
         # worse of the two per-trap ratios, gated by check_regression.py.
         "speedup_exhaustive_over_guided": round(min(ratios), 3),
-        "recorded_at_unix": int(time.time()),
+        # Hunt wall-clock is recorded for the trajectory, not gated.
+        **record(timings, ROUNDS, WARMUP),
     }
     write_record("adversary", payload)

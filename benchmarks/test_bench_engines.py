@@ -10,20 +10,14 @@ and emits a machine-readable ``BENCH_engines.json`` under ``benchmarks/out/``
 so CI can gate it against the committed record.
 """
 
-import json
-import time
+from functools import partial
 
-from repro.decision import FunctionProperty, InstanceFamily, assignments_for, decide, verify_decider
+from _measure import measure, ratio, record
+
+from repro.decision import assignments_for, decide
 from repro.engine import CachedEngine, DirectEngine, SynchronousEngine
-from repro.graphs import cycle_graph, grid_graph, path_graph, sequential_assignment
-from repro.local_model import (
-    NO,
-    YES,
-    FunctionAlgorithm,
-    FunctionIdObliviousAlgorithm,
-    run_algorithm,
-    simulate_algorithm,
-)
+from repro.graphs import grid_graph, sequential_assignment
+from repro.local_model import NO, YES, FunctionAlgorithm, run_algorithm, simulate_algorithm
 
 GRID = grid_graph(6, 6, label="g")
 IDS = sequential_assignment(GRID)
@@ -56,73 +50,17 @@ def test_bench_engine_cached(benchmark):
 # ---------------------------------------------------------------------- #
 # The verify_decider cycle/path sweep — the headline caching workload
 # ---------------------------------------------------------------------- #
-#
-# Property: "the input is a uniformly-labelled cycle".  The Id-oblivious
-# radius-1 decider (every visible node has degree 2 and the right label) is
-# the textbook LD* membership proof for this family; paths are the
-# no-instances (their endpoints reject).  Every ball of a cycle is
-# isomorphic, so the caching backend evaluates one view per graph where the
-# direct backend evaluates |V| x |assignments| of them.
 
-_SIZES = (64, 96, 128)
-_SAMPLES = 16  # random id assignments per instance, plus the canonical one
+ROUNDS, WARMUP = 11, 2
 
 
-def _cycle_property():
-    return FunctionProperty(
-        lambda g: g.num_nodes() >= 3 and all(g.degree(v) == 2 for v in g.nodes()),
-        name="uniform-cycle",
-    )
-
-
-def _cycle_path_family():
-    return InstanceFamily(
-        name=f"cycles-vs-paths(n in {_SIZES})",
-        yes_instances=[cycle_graph(n, label="x") for n in _SIZES],
-        no_instances=[path_graph(n, label="x") for n in _SIZES],
-        description="uniformly labelled cycles (yes) and paths (no)",
-    )
-
-
-def _cycle_decider():
-    def evaluate(view):
-        if view.center_degree() != 2:
-            return NO
-        if any(view.label_of(v) != "x" for v in view.nodes()):
-            return NO
-        return YES
-
-    return FunctionIdObliviousAlgorithm(evaluate, radius=1, name="cycle-decider")
-
-
-def _verdict_matrix(engine):
+def _verdict_matrix(workload, engine):
     """Per-(instance, assignment) accept bits — must be identical across backends."""
-    family = _cycle_path_family()
-    decider = _cycle_decider()
-    matrix = []
-    for graph, _expected in family.labelled_instances():
-        for ids in assignments_for(graph, samples=_SAMPLES, seed=11):
-            matrix.append(decide(decider, graph, ids, engine=engine))
-    return matrix
-
-
-def _timed_verify(engine, repeats=3):
-    """Best-of-``repeats`` sweep time with one engine (steady state for caching backends).
-
-    The minimum over repeats is the standard noise-robust estimator for CI
-    runners; for the caching backend the repeated sweeps are themselves the
-    representative workload (verification is rerun constantly), so warm
-    timings are the honest number.
-    """
-    family = _cycle_path_family()
-    decider = _cycle_decider()
-    prop = _cycle_property()
-    report, times = None, []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        report = verify_decider(decider, prop, family=family, samples=_SAMPLES, seed=11, engine=engine)
-        times.append(time.perf_counter() - start)
-    return report, min(times), times
+    return [
+        decide(workload.decider, graph, ids, engine=engine)
+        for graph, _expected in workload.family.labelled_instances()
+        for ids in assignments_for(graph, samples=workload.samples, seed=11)
+    ]
 
 
 class DictDirectEngine(DirectEngine):
@@ -132,72 +70,66 @@ class DictDirectEngine(DirectEngine):
         return [DirectEngine.run(self, algorithm, graph, ids) for graph, ids in jobs]
 
 
-def test_bench_verify_decider_cached_speedup(write_record):
+def test_bench_verify_decider_cached_speedup(cycles_vs_paths, write_record):
     # The dict baseline keeps this record's historical meaning: the
     # caching backend measured against per-node dict-based ball
-    # evaluation (the paper's literal semantics).  The interned direct
-    # path gets its own record below.
-    direct = DictDirectEngine()
-    interned = DirectEngine()
+    # evaluation (the paper's literal semantics).  Every variant but
+    # ``cached`` sweeps on a fresh engine; ``cached`` keeps one engine, so
+    # its steady state is the memo that repeated verification runs hit,
+    # and ``cached_cold`` times the fresh engine that builds that memo.
     cached = CachedEngine()
-    synchronous = SynchronousEngine()
-
-    report_direct, t_direct, times_direct = _timed_verify(direct)
-    report_interned, t_interned, times_interned = _timed_verify(interned)
-    report_cached, t_cached, times_cached = _timed_verify(cached)
-    report_sync, t_sync, _ = _timed_verify(synchronous, repeats=1)
+    sweep = cycles_vs_paths.verify
+    timings, reports = measure(
+        {
+            "direct": lambda: partial(sweep, engine=DictDirectEngine()),
+            "direct_interned": lambda: partial(sweep, engine=DirectEngine()),
+            "cached": lambda: partial(sweep, engine=cached),
+            "cached_cold": lambda: partial(sweep, engine=CachedEngine()),
+        },
+        rounds=ROUNDS,
+        warmup=WARMUP,
+    )
+    reports["synchronous"] = sweep(engine=SynchronousEngine())
 
     # All backends verify the decider cleanly and agree byte-for-byte
     # on every individual verdict.
-    for report in (report_direct, report_interned, report_cached, report_sync):
+    checked = reports["direct"].assignments_checked
+    for report in reports.values():
         assert report.correct, report.summary()
-        assert report.instances_checked == 2 * len(_SIZES)
-        assert report.assignments_checked == report_direct.assignments_checked
-    matrix_direct = _verdict_matrix(DictDirectEngine())
-    assert matrix_direct == _verdict_matrix(DirectEngine())
-    assert matrix_direct == _verdict_matrix(CachedEngine())
-    assert matrix_direct == _verdict_matrix(SynchronousEngine())
+        assert report.instances_checked == 2 * len(cycles_vs_paths.sizes)
+        assert report.assignments_checked == checked
+    matrix_direct = _verdict_matrix(cycles_vs_paths, DictDirectEngine())
+    assert matrix_direct == _verdict_matrix(cycles_vs_paths, DirectEngine())
+    assert matrix_direct == _verdict_matrix(cycles_vs_paths, CachedEngine())
+    assert matrix_direct == _verdict_matrix(cycles_vs_paths, SynchronousEngine())
 
-    speedup = t_direct / t_cached if t_cached > 0 else float("inf")
-    speedup_interned = t_direct / t_interned if t_interned > 0 else float("inf")
-    # The first repeat is the cold one: the caching backend builds its ball
-    # collections and view keys there, which the warm best-of hides.
-    speedup_cold = times_interned[0] / times_cached[0] if times_cached[0] > 0 else float("inf")
+    speedup = ratio(timings["direct"], timings["cached"])
+    speedup_interned = ratio(timings["direct"], timings["direct_interned"])
     payload = {
         "workload": "verify_decider cycles-vs-paths",
-        "sizes": list(_SIZES),
-        "id_samples_per_instance": _SAMPLES,
-        "assignments_checked": report_direct.assignments_checked,
-        "seconds": {
-            "direct": round(t_direct, 6),
-            "direct_interned": round(t_interned, 6),
-            "cached": round(t_cached, 6),
-            "synchronous": round(t_sync, 6),
-        },
-        "seconds_per_repeat": {
-            "direct": [round(t, 6) for t in times_direct],
-            "direct_interned": [round(t, 6) for t in times_interned],
-            "cached": [round(t, 6) for t in times_cached],
-        },
-        "speedup_direct_over_cached": round(speedup, 3),
-        "speedup_interned_over_dict_direct": round(speedup_interned, 3),
-        "speedup_cached_over_direct_cold": round(speedup_cold, 3),
+        "sizes": list(cycles_vs_paths.sizes),
+        "id_samples_per_instance": cycles_vs_paths.samples,
+        "assignments_checked": checked,
+        **record(
+            timings, ROUNDS, WARMUP,
+            speedup_direct_over_cached=speedup,
+            speedup_interned_over_dict_direct=speedup_interned,
+            speedup_cached_over_direct_cold=ratio(timings["direct_interned"], timings["cached_cold"]),
+        ),
         "cached_engine_stats": cached.stats.as_dict(),
         "cached_store_stats": cached.cache_stats(),
         "verdicts_identical_across_backends": True,
-        "recorded_at_unix": int(time.time()),
     }
     write_record("engines", payload)
 
     # The acceptance bar for the caching backend: at least 3x over direct
     # ball evaluation on this sweep (observed well above that locally).
-    assert speedup >= 3.0, f"CachedEngine speedup only {speedup:.2f}x (direct {t_direct:.3f}s, cached {t_cached:.3f}s)"
+    assert speedup[0] >= 3.0, f"CachedEngine speedup only {speedup[0]:.2f}x (95% interval {speedup[1]})"
     # The interned core: at least 5x over the dict-based direct
-    # path on the same sweep (observed ~8x locally; the engine-only part,
+    # path on the same sweep (observed ~6.5x locally; the engine-only part,
     # net of shared assignment generation, is well above 10x).
-    assert speedup_interned >= 5.0, (
-        f"interned DirectEngine speedup only {speedup_interned:.2f}x "
-        f"(dict {t_direct:.3f}s, interned {t_interned:.3f}s)"
+    assert speedup_interned[0] >= 5.0, (
+        f"interned DirectEngine speedup only {speedup_interned[0]:.2f}x (95% interval {speedup_interned[1]})"
     )
     # The memo store must actually be doing the work: one evaluation per
     # distinct ball type, hits for everything else.

@@ -15,14 +15,14 @@ Two headline numbers, both gated by CI's consolidated
   cells must be classified stable; a drop means the scorer started
   re-running cells whose verdicts did not change.
 
-The record also captures the stratified-sampling draw time over the
+The record also captures the stratified-sampling plan digest over the
 million-cell cross and the incremental-log sweep's verdict equality, so
 the sampled path's correctness is re-asserted where its speed is measured.
 """
 
-import json
-import time
 from itertools import islice
+
+from _measure import measure, rate, record
 
 from repro.campaign.runner import load_result_log, run_campaign, write_report
 from repro.workloads import default_matrix, importance_sample, stratified_sample
@@ -31,6 +31,7 @@ from repro.workloads.matrix import WorkloadMatrix
 
 _MATRIX_SEED = 0
 _STREAM_PREFIX = 100_000
+ROUNDS, WARMUP = 3, 0
 
 
 def test_bench_sampling_streaming_and_replay(tmp_path, write_record):
@@ -41,17 +42,16 @@ def test_bench_sampling_streaming_and_replay(tmp_path, write_record):
     assert total >= 1_000_000, f"variant cross only reaches {total} cells"
 
     # -- streamed expansion throughput (prefix of the million-cell cross) --
-    stream = ladder.iter_cells()
-    start = time.perf_counter()
-    consumed = sum(1 for _ in islice(stream, _STREAM_PREFIX))
-    t_stream = time.perf_counter() - start
-    assert consumed == _STREAM_PREFIX
-    cps = consumed / t_stream if t_stream > 0 else float("inf")
+    def stream_prefix():
+        stream = ladder.iter_cells()
+        return lambda: sum(1 for _ in islice(stream, _STREAM_PREFIX))
+
+    timings, consumed = measure({"stream_prefix": stream_prefix}, rounds=ROUNDS, warmup=WARMUP)
+    assert consumed["stream_prefix"] == _STREAM_PREFIX
+    cps = rate(_STREAM_PREFIX, timings["stream_prefix"])
 
     # -- stratified draw over the full million-cell cross ------------------
-    start = time.perf_counter()
     plan = stratified_sample(ladder, budget=200, seed=3)
-    t_draw = time.perf_counter() - start
     assert len(plan.selected) == 200
     assert plan.total_cells == total
 
@@ -85,25 +85,20 @@ def test_bench_sampling_streaming_and_replay(tmp_path, write_record):
         "workload": "streamed variant-ladder cross + budgeted sampling",
         "matrix_seed": _MATRIX_SEED,
         "ladder_cells_total": total,
-        "stream_prefix_cells": consumed,
-        "seconds": {
-            "stream_prefix": round(t_stream, 6),
-            "stratified_draw_budget_200": round(t_draw, 6),
-        },
-        "cells_per_second_streamed": round(cps, 3),
+        "stream_prefix_cells": _STREAM_PREFIX,
+        **record(timings, ROUNDS, WARMUP, cells_per_second_streamed=cps),
         "stratified_plan_digest": plan.digest(),
         "importance_budget": budget,
         "importance_total_cells": iplan.total_cells,
         "importance_replayed_cells": iplan.replayed_count,
         "importance_replay_rate": round(replay_rate, 6),
         "log_resume_verdicts_identical": True,
-        "recorded_at_unix": int(time.time()),
     }
     write_record("sampling", payload)
 
     # In-test floors mirror the CI gates.  Streaming measures >100k cells/s
     # on a warm interpreter; 20k leaves headroom for slow shared runners.
-    assert cps >= 20_000, f"streamed expansion slowed to {cps:.0f} cells/s"
+    assert cps[0] >= 20_000, f"streamed expansion slowed to {cps[0]:.0f} cells/s (95% interval {cps[1]})"
     assert replay_rate >= 0.5, (
         f"importance sampling replays only {replay_rate:.1%} of a stable cross"
     )

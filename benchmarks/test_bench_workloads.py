@@ -1,23 +1,26 @@
 """Quick-matrix sweep throughput: serial CachedEngine vs 2-worker ParallelEngine.
 
 Expands the full default workload matrix and runs every cell in quick mode
-three times — once on the serial caching backend (a fresh ``CachedEngine``
-per cell, the pre-pool baseline), once on a *cold* 2-worker
-``ParallelEngine`` (pays the one-off fork tax and warms the persistent
-pool), and once more on the now-*warm* pool — asserting that all sweeps
-produce identical per-cell spec digests and verdicts.
+three ways, interleaved — on the serial caching backend (a fresh
+``CachedEngine`` per cell, the pre-pool baseline), on a *cold* 2-worker
+``ParallelEngine`` (the pool and the shared in-process engine are reset
+before each such sweep, so it pays the one-off start-up again), and on
+the *warm* one (nothing reset) — asserting that all sweeps produce
+identical per-cell spec digests and verdicts.
 
 The headline ``speedup_parallel_over_serial`` is the warm sweep's ratio:
 the persistent pool's whole point is that workers and the shared
 fingerprint-keyed engine survive across sweeps, so campaign-style repeated
 runs hit warm ball caches instead of re-deriving every verdict.  The cold
 ratio is recorded alongside (not gated — on cells this small the one-off
-fork tax can eat the win), and CI gates both the serial throughput and
+start-up can eat the win), and CI gates both the serial throughput and
 the warm speedup through the consolidated ``check_regression.py --gate``
 invocation.
 """
 
-import time
+from functools import partial
+
+from _measure import measure, rate, ratio, record
 
 from repro.campaign.runner import run_campaign
 from repro.engine import reset_shared_local_engine, shutdown_pool
@@ -25,19 +28,16 @@ from repro.workloads import default_matrix
 
 
 _MATRIX_SEED = 0
+ROUNDS, WARMUP = 3, 0
 
 
-def _timed_sweep(engine, workers=None):
+def _sweep(engine, workers=None, cold=False):
+    """A factory for one quick-matrix sweep; ``cold`` first resets the pool and shared engine."""
+    if cold:
+        shutdown_pool()
+        reset_shared_local_engine()
     specs = default_matrix(seed=_MATRIX_SEED).scenarios()
-    start = time.perf_counter()
-    report = run_campaign(
-        specs,
-        engine=engine,
-        workers=workers,
-        quick=True,
-        name=f"bench-workloads({engine})",
-    )
-    return report, time.perf_counter() - start
+    return partial(run_campaign, specs, engine=engine, workers=workers, quick=True, name=f"bench-workloads({engine})")
 
 
 def _verdicts(report):
@@ -50,11 +50,18 @@ def test_bench_workloads_cell_throughput(write_record):
     shutdown_pool()
     reset_shared_local_engine()
     try:
-        serial, t_serial = _timed_sweep("cached")
-        cold, t_cold = _timed_sweep("parallel", workers=2)
-        warm, t_warm = _timed_sweep("parallel", workers=2)
+        timings, reports = measure(
+            {
+                "serial": partial(_sweep, "cached"),
+                "parallel_2_cold": partial(_sweep, "parallel", workers=2, cold=True),
+                "parallel_2_warm": partial(_sweep, "parallel", workers=2),
+            },
+            rounds=ROUNDS,
+            warmup=WARMUP,
+        )
     finally:
         shutdown_pool()
+    serial, cold, warm = (reports[name] for name in ("serial", "parallel_2_cold", "parallel_2_warm"))
 
     assert serial.ok, "serial quick matrix sweep misbehaved"
     assert cold.ok, "cold parallel quick matrix sweep misbehaved"
@@ -65,9 +72,8 @@ def test_bench_workloads_cell_throughput(write_record):
     # and regardless of how warm the pool is.
     assert _verdicts(serial) == _verdicts(cold) == _verdicts(warm)
 
-    cps_serial = cells / t_serial if t_serial > 0 else float("inf")
-    cps_parallel = cells / t_warm if t_warm > 0 else float("inf")
-    speedup_warm = t_serial / t_warm if t_warm > 0 else float("inf")
+    cps_serial = rate(cells, timings["serial"])
+    speedup_warm = ratio(timings["serial"], timings["parallel_2_warm"])
     payload = {
         "workload": "quick workload-matrix sweep (all cells)",
         "matrix_seed": _MATRIX_SEED,
@@ -76,31 +82,25 @@ def test_bench_workloads_cell_throughput(write_record):
             "verify": sum(1 for r in serial.results if r.kind == "verify"),
             "search": sum(1 for r in serial.results if r.kind == "search"),
         },
-        "seconds": {
-            "serial": round(t_serial, 6),
-            "parallel_2_cold": round(t_cold, 6),
-            "parallel_2_warm": round(t_warm, 6),
-        },
-        "cells_per_second_serial": round(cps_serial, 3),
-        "cells_per_second_parallel": round(cps_parallel, 3),
-        "speedup_parallel_over_serial": round(speedup_warm, 3),
-        "speedup_parallel_over_serial_cold": round(
-            t_serial / t_cold if t_cold > 0 else float("inf"), 3
+        **record(
+            timings, ROUNDS, WARMUP,
+            cells_per_second_serial=cps_serial,
+            cells_per_second_parallel=rate(cells, timings["parallel_2_warm"]),
+            speedup_parallel_over_serial=speedup_warm,
+            speedup_parallel_over_serial_cold=ratio(timings["serial"], timings["parallel_2_cold"]),
         ),
         "parallel_counters": {
             "cold": cold.parallel_stats(),
             "warm": warm.parallel_stats(),
         },
         "verdicts_identical_serial_vs_parallel": True,
-        "recorded_at_unix": int(time.time()),
     }
     write_record("workloads", payload)
 
     # The in-test floors mirror the CI gates: quick cells are tiny, so even
     # a slow shared runner clears single-digit cells/s by a wide margin, and
     # a warm persistent pool must beat the fresh-engine-per-cell baseline.
-    assert cps_serial >= 2.0, f"serial quick sweep slowed to {cps_serial:.2f} cells/s"
-    assert speedup_warm >= 1.5, (
-        f"warm parallel sweep only {speedup_warm:.2f}x over serial "
-        f"(serial {t_serial:.3f}s, warm {t_warm:.3f}s)"
+    assert cps_serial[0] >= 2.0, f"serial quick sweep slowed to {cps_serial[0]:.2f} cells/s"
+    assert speedup_warm[0] >= 1.5, (
+        f"warm parallel sweep only {speedup_warm[0]:.2f}x over serial (95% interval {speedup_warm[1]})"
     )

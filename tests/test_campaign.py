@@ -245,17 +245,28 @@ def test_runner_rejects_workers_for_non_parallel_engine():
 # ---------------------------------------------------------------------- #
 
 
-def _gate(tmp_path, baseline_speedup, fresh_speedup, *extra):
-    baseline = tmp_path / "baseline.json"
-    fresh = tmp_path / "fresh.json"
-    baseline.write_text(json.dumps({"speedup_direct_over_cached": baseline_speedup}))
-    fresh.write_text(json.dumps({"speedup_direct_over_cached": fresh_speedup}))
-    proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "benchmarks" / "check_regression.py"), str(baseline), str(fresh), *extra],
+def _run_gate(*args):
+    return subprocess.run(
+        [sys.executable, str(REPO_ROOT / "benchmarks" / "check_regression.py"), *args],
         capture_output=True,
         text=True,
     )
-    return proc
+
+
+def _gate_specs(tmp_path, *triples):
+    """Write one record per (key, baseline, fresh, floor) and run one --gate per record."""
+    args = []
+    for idx, (key, baseline_value, fresh_value, floor) in enumerate(triples):
+        baseline = tmp_path / f"baseline{idx}.json"
+        fresh = tmp_path / f"fresh{idx}.json"
+        baseline.write_text(json.dumps({key: baseline_value}))
+        fresh.write_text(json.dumps(fresh_value if isinstance(fresh_value, dict) else {key: fresh_value}))
+        args += ["--gate", f"{baseline}:{fresh}:{key}:{floor}"]
+    return _run_gate(*args)
+
+
+def _gate(tmp_path, baseline_speedup, fresh_speedup):
+    return _gate_specs(tmp_path, ("speedup_direct_over_cached", baseline_speedup, fresh_speedup, 3.0))
 
 
 def test_regression_gate_passes_above_floor(tmp_path):
@@ -269,18 +280,18 @@ def test_regression_gate_fails_below_floor(tmp_path):
     assert "below the 3.00x floor" in proc.stdout
 
 
-def test_regression_gate_max_drop(tmp_path):
-    proc = _gate(tmp_path, 20.0, 4.0, "--max-drop", "0.5")
-    assert proc.returncode == 1
-    assert "dropped more than" in proc.stdout
+def test_regression_gate_prints_interval_and_rounds(tmp_path):
+    fresh = {"speedup_direct_over_cached": 8.0, "ci95": {"speedup_direct_over_cached": [7.25, 9.5]}, "rounds": 11}
+    proc = _gate(tmp_path, 10.0, fresh)
+    assert proc.returncode == 0, proc.stdout
+    assert "fresh 8.00x [95% interval 7.25-9.50, 11 rounds]" in proc.stdout
 
 
 @pytest.mark.parametrize("bad_baseline", [0.0, -2.5, float("nan")])
 def test_regression_gate_rejects_unusable_baseline(tmp_path, bad_baseline):
-    # A zero/negative/NaN baseline used to turn --max-drop into a vacuous
-    # ratio = inf comparison and pass silently; it must exit 2 with a
-    # clear message instead.
-    proc = _gate(tmp_path, bad_baseline, 8.0, "--max-drop", "0.5")
+    # A zero/negative/NaN baseline would make the comparison vacuous; it
+    # must exit 2 with a clear message instead.
+    proc = _gate(tmp_path, bad_baseline, 8.0)
     assert proc.returncode == 2
     assert "INVALID" in proc.stderr
     assert "positive finite speedup" in proc.stderr
@@ -290,22 +301,6 @@ def test_regression_gate_rejects_unusable_fresh_record(tmp_path):
     proc = _gate(tmp_path, 10.0, float("nan"))
     assert proc.returncode == 2
     assert "fresh record" in proc.stderr
-
-
-def _gate_specs(tmp_path, *triples):
-    """Write one record per (key, baseline, fresh, floor) and build --gate args."""
-    args = []
-    for idx, (key, baseline_value, fresh_value, floor) in enumerate(triples):
-        baseline = tmp_path / f"baseline{idx}.json"
-        fresh = tmp_path / f"fresh{idx}.json"
-        baseline.write_text(json.dumps({key: baseline_value}))
-        fresh.write_text(json.dumps({key: fresh_value}))
-        args += ["--gate", f"{baseline}:{fresh}:{key}:{floor}"]
-    return subprocess.run(
-        [sys.executable, str(REPO_ROOT / "benchmarks" / "check_regression.py"), *args],
-        capture_output=True,
-        text=True,
-    )
 
 
 def test_consolidated_gate_passes_all_records(tmp_path):
@@ -332,26 +327,19 @@ def test_consolidated_gate_reports_every_failure(tmp_path):
 
 
 def test_consolidated_gate_rejects_positional_and_flag_mixing(tmp_path):
+    # --gate is the one invocation form: the removed positional pair,
+    # --key, --min-speedup and --max-drop are usage errors.
     record = tmp_path / "record.json"
     record.write_text(json.dumps({"speedup_direct_over_cached": 8.0}))
     gate = f"{record}:{record}:speedup_direct_over_cached:3.0"
-    for extra in (["--min-speedup", "5.0"], ["--key", "other"], [str(record), str(record)]):
-        proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "benchmarks" / "check_regression.py"),
-             "--gate", gate, *extra],
-            capture_output=True,
-            text=True,
-        )
+    for extra in (["--min-speedup", "5.0"], ["--key", "other"], ["--max-drop", "0.5"], [str(record), str(record)]):
+        proc = _run_gate("--gate", gate, *extra)
         assert proc.returncode == 2, f"{extra} should be a usage error"
+    assert _run_gate(str(record), str(record)).returncode == 2
 
 
 def test_consolidated_gate_rejects_malformed_spec(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "benchmarks" / "check_regression.py"),
-         "--gate", "not-a-gate-spec"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_gate("--gate", "not-a-gate-spec")
     assert proc.returncode == 2
     assert "BASELINE:CURRENT:KEY:FLOOR" in proc.stderr
 
@@ -361,11 +349,7 @@ def test_regression_gate_rejects_missing_key(tmp_path):
     fresh = tmp_path / "fresh.json"
     baseline.write_text(json.dumps({"something_else": 1.0}))
     fresh.write_text(json.dumps({"speedup_direct_over_cached": 8.0}))
-    proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "benchmarks" / "check_regression.py"), str(baseline), str(fresh)],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_gate("--gate", f"{baseline}:{fresh}:speedup_direct_over_cached:3.0")
     assert proc.returncode == 2
     assert "missing" in proc.stderr
 
